@@ -74,8 +74,11 @@ func run(args []string, w io.Writer) error {
 // benchLine matches e.g.
 //
 //	BenchmarkWavefrontStep-4   100   5503 ns/op   3472 B/op   10 allocs/op
+//
+// Custom metrics (b.ReportMetric) print between ns/op and B/op and are
+// skipped.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:.*?\s(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 func parseBench(r io.Reader) (map[string]Result, error) {
 	results := map[string]Result{}

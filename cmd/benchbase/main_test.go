@@ -13,6 +13,7 @@ pkg: ftss
 BenchmarkWavefrontStep-4      	     100	      5503 ns/op	    3472 B/op	      10 allocs/op
 BenchmarkSyncEngineRound      	     100	    117957 ns/op	   80848 B/op	     413 allocs/op
 BenchmarkAsyncEngineEvent     	     100	       498.0 ns/op	     281 B/op	       4 allocs/op
+BenchmarkStoreShards/16-2     	     100	   1406012 ns/op	    140861 sim-ns/op	 5541022 B/op	   52209 allocs/op
 PASS
 `
 
@@ -40,6 +41,9 @@ func TestRecordParsesBenchOutput(t *testing.T) {
 	}
 	if got["BenchmarkAsyncEngineEvent"].NsOp != 498 {
 		t.Errorf("fractional ns/op not parsed: %+v", got["BenchmarkAsyncEngineEvent"])
+	}
+	if ss := got["BenchmarkStoreShards/16"]; ss.NsOp != 1406012 || ss.BytesOp != 5541022 || ss.AllocsOp != 52209 {
+		t.Errorf("custom metric between ns/op and B/op broke the parse: %+v", ss)
 	}
 }
 

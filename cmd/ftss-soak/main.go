@@ -464,10 +464,7 @@ func soak(p soakParams, w io.Writer) error {
 
 	// Definition 2.4 verdict over the whole recorded run: find the
 	// smallest stabilization budget (in polls) that ftss-solves stable
-	// agreement, and report it exactly as the simulators would. The
-	// two-pointer streaming scan answers the search in one pass over the
-	// history, replacing the linear search that re-ran a full batch check
-	// per candidate budget.
+	// agreement, and report it exactly as the simulators would.
 	h := rec.History()
 	budget := core.MinimalStabilization(h, chaos.StableAgreement)
 	fmt.Fprintf(w, "\nconsensus cluster over %d polls, %d systemic marks:\n",

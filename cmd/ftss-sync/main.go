@@ -170,8 +170,10 @@ func run(args []string) error {
 		trace.Summary(os.Stdout, h)
 		fmt.Println()
 	}
+	ic := core.EvalIncremental(h, sigma, pi.FinalRound())
+	m := ic.Measure()
 	if sink != nil {
-		trace.Events(sink, h, sigma, pi.FinalRound())
+		trace.EventsFrom(sink, ic, m)
 	}
 	if *metricsFile != "" {
 		mf, err := os.Create(*metricsFile)
@@ -186,13 +188,12 @@ func run(args []string) error {
 			return err
 		}
 	}
-	err := core.CheckFTSS(h, sigma, pi.FinalRound())
+	err := ic.Verdict()
 	if err == nil {
 		fmt.Printf("Definition 2.4 verdict: Σ⁺ ftss-SOLVED with stabilization time %d\n", pi.FinalRound())
 	} else {
 		fmt.Printf("Definition 2.4 verdict: VIOLATED — %v\n", err)
 	}
-	m := core.MeasureStabilization(h, sigma)
 	if m.Rounds >= 0 {
 		fmt.Printf("measured stabilization of the final stable segment: %d rounds (event at round %d, satisfied from round %d)\n",
 			m.Rounds, m.EventRound, m.SatisfiedFrom)

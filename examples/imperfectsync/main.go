@@ -68,7 +68,7 @@ func run() error {
 	e.Observe(h)
 	e.Run(30)
 	fmt.Printf("   after 30 rounds: c_p0=%d, c_p1=%d — a 1-gap forever\n", cs[0].Clock(), cs[1].Clock())
-	within := (skew.AgreementWithinSkew{Skew: 1}).Check(h, 3, 30, proc.NewSet())
+	within := core.Check(skew.AgreementWithinSkew{Skew: 1}, h, 3, 30, proc.NewSet())
 	fmt.Printf("   exact agreement: unattainable; agreement-within-1: satisfied=%v\n\n", within == nil)
 
 	// Scenario 3: the adapted compiler.

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"ftss/internal/core"
+	"ftss/internal/core/coretest"
+	"ftss/internal/history"
 	"ftss/internal/proc"
 )
 
@@ -15,12 +17,18 @@ func errString(err error) string {
 	return err.Error()
 }
 
+// stableWindows hands StableAgreement to the brute-force oracle in
+// whole-window form.
+func stableWindows(h *history.History, lo, hi int, faulty proc.Set) error {
+	return core.Check(StableAgreement, h, lo, hi, faulty)
+}
+
 // TestWatchMatchesBatchEveryPrefix is the soak differential property
 // test: a seeded chaotic poll stream — partitions (processes leaving the
 // up set), restarts with divergent registers, register churn, and
 // systemic marks — replayed poll by poll through Recorder.Watch must
-// agree with the batch checker verdict-for-verdict and measurement-for-
-// measurement at every prefix.
+// agree with the brute-force oracle (coretest) verdict-for-verdict and
+// measurement-for-measurement at every prefix.
 func TestWatchMatchesBatchEveryPrefix(t *testing.T) {
 	const n = 5
 	stabs := []int{1, 2, 4}
@@ -62,23 +70,24 @@ func TestWatchMatchesBatchEveryPrefix(t *testing.T) {
 			rec.Observe(up, cells)
 			h := rec.History()
 			for i, stab := range stabs {
-				want := errString(core.CheckFTSS(h, StableAgreement, stab))
+				want := errString(coretest.CheckFTSS(h, stableWindows, stab))
 				if got := errString(watchers[i].Verdict()); got != want {
-					t.Fatalf("seed %d poll %d stab %d:\nincremental: %s\nbatch:       %s",
+					t.Fatalf("seed %d poll %d stab %d:\nincremental: %s\noracle:      %s",
 						seed, poll, stab, got, want)
 				}
 			}
-			if m, bm := watchers[0].Measure(), core.MeasureStabilization(h, StableAgreement); m != bm {
-				t.Fatalf("seed %d poll %d: Measure %+v != batch %+v", seed, poll, m, bm)
+			event, from := coretest.Measure(h, stableWindows)
+			if m := watchers[0].Measure(); m.EventRound != event || m.SatisfiedFrom != from {
+				t.Fatalf("seed %d poll %d: Measure %+v, oracle event %d satisfied from %d",
+					seed, poll, m, event, from)
 			}
 		}
-		// The two-pointer minimal budget agrees with the linear oracle the
-		// soak harness used to run.
+		// The minimal budget agrees with a linear scan over budgets.
 		h := rec.History()
 		got := core.MinimalStabilization(h, StableAgreement)
 		oracle := -1
 		for b := 1; b <= h.Len()+1; b++ {
-			if core.CheckFTSS(h, StableAgreement, b) == nil {
+			if coretest.CheckFTSS(h, stableWindows, b) == nil {
 				oracle = b
 				break
 			}

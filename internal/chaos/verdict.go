@@ -146,10 +146,9 @@ func (r *Recorder) Mark() {
 
 // Watch attaches an incremental Definition 2.4 checker for the soak Σ
 // (StableAgreement) with the given stabilization budget in polls: every
-// subsequent Observe extends the verdict in O(1) amortized work instead
-// of a full batch re-check, so a long soak can report progressive
-// verdicts with memory independent of the poll count. The returned
-// checker's Verdict equals core.CheckFTSS on the history recorded so far.
+// subsequent Observe extends the verdict in O(1) amortized work, so a
+// long soak can report progressive verdicts with memory independent of
+// the poll count.
 func (r *Recorder) Watch(stab int) *core.IncrementalChecker {
 	return core.NewIncrementalChecker(r.h, StableAgreement, stab)
 }
@@ -164,9 +163,7 @@ func (r *Recorder) Polls() uint64 { return r.polls }
 // every up process holds a decision, all held decisions are equal, and
 // the common register never changes between polls — the asynchronous
 // eventual-stable-agreement notion projected onto poll windows. Feed it
-// to core.CheckFTSS with a stabilization budget in polls. It streams
-// (core.Streaming), so incremental checkers extend its windows poll by
-// poll instead of rescanning.
+// to core.CheckFTSS with a stabilization budget in polls.
 var StableAgreement core.Problem = stableAgreement{}
 
 type stableAgreement struct{}
@@ -174,46 +171,23 @@ type stableAgreement struct{}
 // Name implements core.Problem.
 func (stableAgreement) Name() string { return "eventual-stable-agreement (soak)" }
 
-// Check implements core.Problem.
-func (stableAgreement) Check(h *history.History, lo, hi int, faulty proc.Set) error {
-	var st stableAgreementState
-	for r := lo; r <= hi; r++ {
-		if err := st.round(h, r, faulty); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// NewWindow implements core.Streaming: the only cross-round state is the
-// previous poll's common register, which the window carries across
-// extensions.
+// NewWindow implements core.Problem.
 func (stableAgreement) NewWindow(h *history.History, lo int, faulty proc.Set) core.WindowChecker {
 	return &stableAgreementWindow{h: h, faulty: faulty}
 }
 
-var _ core.Streaming = stableAgreement{}
-
+// stableAgreementWindow carries the only cross-poll state, the previous
+// poll's common register, across extensions.
 type stableAgreementWindow struct {
-	h      *history.History
-	faulty proc.Set
-	st     stableAgreementState
-}
-
-// Extend implements core.WindowChecker.
-func (w *stableAgreementWindow) Extend(hi int) error {
-	return w.st.round(w.h, hi, w.faulty)
-}
-
-// stableAgreementState threads the common register between polls; round
-// is the batch scan's loop body, shared verbatim with the streaming
-// window.
-type stableAgreementState struct {
+	h        *history.History
+	faulty   proc.Set
 	prev     DecisionCell
 	havePrev bool
 }
 
-func (st *stableAgreementState) round(h *history.History, r int, faulty proc.Set) error {
+// Extend implements core.WindowChecker.
+func (w *stableAgreementWindow) Extend(r int) error {
+	h, faulty := w.h, w.faulty
 	var common DecisionCell
 	haveCommon := false
 	for _, p := range h.AliveAt(r).Sorted() {
@@ -237,14 +211,14 @@ func (st *stableAgreementState) round(h *history.History, r int, faulty proc.Set
 			}
 		}
 	}
-	if haveCommon && st.havePrev && common != st.prev {
+	if haveCommon && w.havePrev && common != w.prev {
 		return &core.Violation{
 			Problem: "eventual-stable-agreement (soak)", Round: r,
-			Detail: fmt.Sprintf("common register changed %v → %v", st.prev, common),
+			Detail: fmt.Sprintf("common register changed %v → %v", w.prev, common),
 		}
 	}
 	if haveCommon {
-		st.prev, st.havePrev = common, true
+		w.prev, w.havePrev = common, true
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ftss/internal/core"
 	"ftss/internal/obs"
 	"ftss/internal/proc"
 )
@@ -103,7 +104,7 @@ func TestRecorderObserveShrinkRecover(t *testing.T) {
 	if h.AliveAt(2).Has(2) {
 		t.Fatal("down process still recorded alive")
 	}
-	if err := StableAgreement.Check(h, 1, h.Len(), proc.NewSet()); err != nil {
+	if err := core.Check(StableAgreement, h, 1, h.Len(), proc.NewSet()); err != nil {
 		t.Fatalf("shrink-then-recover with consistent registers: %v", err)
 	}
 
@@ -114,7 +115,7 @@ func TestRecorderObserveShrinkRecover(t *testing.T) {
 	diverged := agreeCells(n, 9, 1)
 	diverged[2] = DecisionCell{OK: true, Round: 1, Val: 8}
 	bad.Observe(fullUp(n), diverged)
-	if err := StableAgreement.Check(bad.History(), 1, bad.History().Len(), proc.NewSet()); err == nil {
+	if err := core.Check(StableAgreement, bad.History(), 1, bad.History().Len(), proc.NewSet()); err == nil {
 		t.Fatal("divergent recovered register passed the window check")
 	}
 }

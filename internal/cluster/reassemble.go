@@ -9,14 +9,8 @@ import (
 
 	"ftss/internal/chaos"
 	"ftss/internal/core"
-	"ftss/internal/history"
 	"ftss/internal/proc"
 )
-
-// coreCheck is the Definition 2.4 check against the soak Σ.
-func coreCheck(h *history.History, budget int) error {
-	return core.CheckFTSS(h, chaos.StableAgreement, budget)
-}
 
 // PollRecord is one node's decision-register sample at one poll index of
 // the cluster-wide grid.
@@ -133,9 +127,7 @@ func Reassemble(plan *chaos.Plan, pollEvery time.Duration, records []PollRecord)
 // MeasuredStabilization finds the smallest stabilization budget (in
 // polls) under which the reassembled history ftss-solves stable
 // agreement, exactly as the in-process soak searches. It returns -1 when
-// no budget up to the poll count suffices. The two-pointer streaming scan
-// replaces the linear budget search (one full batch check per candidate):
-// one pass over the history instead of polls² windows.
+// no budget up to the poll count suffices.
 func MeasuredStabilization(rec *chaos.Recorder) int {
 	b := core.MinimalStabilization(rec.History(), chaos.StableAgreement)
 	if uint64(b) > rec.Polls() {

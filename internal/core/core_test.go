@@ -32,7 +32,7 @@ func runAgree(t *testing.T, n int, adv failure.Adversary, rounds int,
 
 func TestRoundAgreementHoldsOnCleanRun(t *testing.T) {
 	h := runAgree(t, 3, nil, 10, nil)
-	if err := (RoundAgreement{}).Check(h, 1, 10, proc.NewSet()); err != nil {
+	if err := Check(RoundAgreement{}, h, 1, 10, proc.NewSet()); err != nil {
 		t.Errorf("clean run should satisfy Assumption 1: %v", err)
 	}
 }
@@ -43,7 +43,7 @@ func TestRoundAgreementDetectsDisagreement(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		cs[1].Corrupt(rng)
 	})
-	err := (RoundAgreement{}).Check(h, 1, 1, proc.NewSet())
+	err := Check(RoundAgreement{}, h, 1, 1, proc.NewSet())
 	var v *Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("expected a Violation for corrupted clocks, got %v", err)
@@ -65,10 +65,10 @@ func TestRoundAgreementRateInsideWindowOnly(t *testing.T) {
 		cs[0].CorruptTo(100)
 		cs[1].CorruptTo(5)
 	})
-	if err := (RoundAgreement{}).Check(h, 2, 2, proc.NewSet()); err != nil {
+	if err := Check(RoundAgreement{}, h, 2, 2, proc.NewSet()); err != nil {
 		t.Errorf("window [2,2]: clocks agree at start of round 2, got %v", err)
 	}
-	err := (RoundAgreement{}).Check(h, 1, 2, proc.NewSet())
+	err := Check(RoundAgreement{}, h, 1, 2, proc.NewSet())
 	var v *Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("window [1,2] should violate (agreement at round 1): %v", err)
@@ -84,12 +84,12 @@ func TestRateViolationDetected(t *testing.T) {
 	})
 	// p0 heard 1000 in round 1 and jumped; p1 did not. Disagreement at
 	// round 2 between p0 and p1.
-	err := (RoundAgreement{}).Check(h, 2, 2, proc.NewSet(2))
+	err := Check(RoundAgreement{}, h, 2, 2, proc.NewSet(2))
 	if err == nil {
 		t.Fatal("expected agreement violation at round 2")
 	}
 	// And p0's transition 1→2 is a rate violation.
-	err = (RoundAgreement{}).Check(h, 1, 2, proc.NewSet(1, 2))
+	err = Check(RoundAgreement{}, h, 1, 2, proc.NewSet(1, 2))
 	var v *Violation
 	if !errors.As(err, &v) || v.Problem != "rate" {
 		t.Fatalf("expected rate violation for p0 in [1,2], got %v", err)
@@ -98,8 +98,57 @@ func TestRateViolationDetected(t *testing.T) {
 
 func TestEmptyWindowTriviallySatisfied(t *testing.T) {
 	h := runAgree(t, 2, nil, 3, nil)
-	if err := (RoundAgreement{}).Check(h, 3, 2, proc.NewSet()); err != nil {
+	if err := Check(RoundAgreement{}, h, 3, 2, proc.NewSet()); err != nil {
 		t.Errorf("empty window must be satisfied: %v", err)
+	}
+}
+
+// TestCheckWindowEdges pins the generic driver on the two edges a
+// per-round window can get wrong: an empty window (lo > hi) evaluates
+// nothing, and Rate — which reads round r+1 — is enforced exactly when
+// r+1 is inside the window, so the first failure of [1,2] is the Rate
+// read at hi−1 while [1,1] over the same rounds passes.
+func TestCheckWindowEdges(t *testing.T) {
+	// p2 injects a huge clock to p0 only: p0's transition 1→2 breaks Rate.
+	adv := failure.NewScripted(2).DropSendAt(1, 2, 1).DropSendAt(2, 2, 1)
+	h := runAgree(t, 3, adv, 4, func(e *round.Engine, cs []*roundagree.Proc) {
+		cs[2].CorruptTo(1000)
+	})
+	never := Func{ProblemName: "never", Round: func(_ *history.History, r int, _ proc.Set) error {
+		return &Violation{Problem: "never", Round: r, Detail: "evaluated"}
+	}}
+	onlyP0 := proc.NewSet(1, 2)
+	cases := []struct {
+		name        string
+		sigma       Problem
+		lo, hi      int
+		faulty      proc.Set
+		wantProblem string // "" = satisfied
+		wantRound   int
+	}{
+		{"empty/uniformity", Uniformity{}, 3, 2, proc.NewSet(), "", 0},
+		{"empty/and", And{RoundAgreement{}, never}, 5, 4, proc.NewSet(), "", 0},
+		{"empty/func", never, 2, 1, proc.NewSet(), "", 0},
+		{"rate-outside-window", RoundAgreement{}, 1, 1, onlyP0, "", 0},
+		{"rate-at-hi-1", RoundAgreement{}, 1, 2, onlyP0, "rate", 1},
+		// A conjunction reports the violation of the earliest extension,
+		// not of the earliest component: Uniformity fails when the window
+		// reaches round 1, before Rate can be read at round 2.
+		{"and/earliest-round-first", And{RoundAgreement{}, Uniformity{}}, 1, 2, onlyP0, "uniformity", 1},
+		{"rate-before-later-agreement", RoundAgreement{}, 1, 4, proc.NewSet(2), "rate", 1},
+	}
+	for _, c := range cases {
+		err := Check(c.sigma, h, c.lo, c.hi, c.faulty)
+		if c.wantProblem == "" {
+			if err != nil {
+				t.Errorf("%s: window [%d,%d] must be satisfied: %v", c.name, c.lo, c.hi, err)
+			}
+			continue
+		}
+		var v *Violation
+		if !errors.As(err, &v) || v.Problem != c.wantProblem || v.Round != c.wantRound {
+			t.Errorf("%s: got %v, want %s violation at round %d", c.name, err, c.wantProblem, c.wantRound)
+		}
 	}
 }
 
@@ -115,7 +164,7 @@ func TestUniformityCheck(t *testing.T) {
 
 	// p1 never hears p0 so it never self-checks, never halts, and its
 	// clock differs from p0's: uniformity is violated.
-	err := (Uniformity{}).Check(h, 1, 5, proc.NewSet(1))
+	err := Check(Uniformity{}, h, 1, 5, proc.NewSet(1))
 	var v *Violation
 	if !errors.As(err, &v) || v.Problem != "uniformity" {
 		t.Fatalf("expected uniformity violation, got %v", err)
@@ -136,7 +185,7 @@ func TestUniformitySatisfiedByHalting(t *testing.T) {
 	if !cs[1].Halted() {
 		t.Fatal("p1 should have halted after hearing a higher clock")
 	}
-	if err := (Uniformity{}).Check(h, 2, 5, proc.NewSet(1)); err != nil {
+	if err := Check(Uniformity{}, h, 2, 5, proc.NewSet(1)); err != nil {
 		t.Errorf("halted faulty process satisfies uniformity: %v", err)
 	}
 }
@@ -144,7 +193,7 @@ func TestUniformitySatisfiedByHalting(t *testing.T) {
 func TestAndCombinator(t *testing.T) {
 	h := runAgree(t, 2, nil, 4, nil)
 	sigma := And{RoundAgreement{}, Uniformity{}}
-	if err := sigma.Check(h, 1, 4, proc.NewSet()); err != nil {
+	if err := Check(sigma, h, 1, 4, proc.NewSet()); err != nil {
 		t.Errorf("And on clean run: %v", err)
 	}
 	if sigma.Name() == "" {
@@ -153,30 +202,30 @@ func TestAndCombinator(t *testing.T) {
 
 	failing := And{RoundAgreement{}, Func{
 		ProblemName: "always-false",
-		CheckFunc: func(*history.History, int, int, proc.Set) error {
-			return &Violation{Problem: "always-false", Round: 1, Detail: "no"}
+		Round: func(_ *history.History, r int, _ proc.Set) error {
+			return &Violation{Problem: "always-false", Round: r, Detail: "no"}
 		},
 	}}
-	if err := failing.Check(h, 1, 4, proc.NewSet()); err == nil {
+	if err := Check(failing, h, 1, 4, proc.NewSet()); err == nil {
 		t.Error("And must propagate component failures")
 	}
 }
 
 func TestFuncAdapter(t *testing.T) {
-	called := false
-	f := Func{ProblemName: "probe", CheckFunc: func(h *history.History, lo, hi int, faulty proc.Set) error {
-		called = true
-		if lo != 2 || hi != 3 {
-			t.Errorf("window = [%d,%d]", lo, hi)
-		}
+	var rounds []int
+	f := Func{ProblemName: "probe", Round: func(_ *history.History, r int, _ proc.Set) error {
+		rounds = append(rounds, r)
 		return nil
 	}}
 	if f.Name() != "probe" {
 		t.Errorf("Name = %q", f.Name())
 	}
 	h := runAgree(t, 2, nil, 4, nil)
-	if err := f.Check(h, 2, 3, proc.Set{}); err != nil || !called {
-		t.Errorf("Check err=%v called=%v", err, called)
+	if err := Check(f, h, 2, 3, proc.Set{}); err != nil {
+		t.Errorf("Check err=%v", err)
+	}
+	if len(rounds) != 2 || rounds[0] != 2 || rounds[1] != 3 {
+		t.Errorf("rounds visited = %v, want [2 3]", rounds)
 	}
 }
 

@@ -1,12 +1,10 @@
-// Incremental Definition 2.4 checking. CheckFTSS re-evaluates every
-// window of every stable segment from scratch — O(T²) problem checks over
-// a T-round history — which dominates at soak and cluster scale. The
-// machinery here maintains the same verdict one observed round at a time:
-// appending round t extends the current segment's window family by one
-// window (one streaming problem extension, O(delta)), and de-stabilizing
-// events merely reset the per-segment state. Verdicts are byte-identical
-// to the batch checker's at every prefix; the differential tests in
-// incremental_test.go pin that equivalence round for round.
+// The Definition 2.4 evaluator. A history is judged one observed round at
+// a time: appending round t extends the current stable segment's window
+// family by one window (one problem extension, O(delta)), and
+// de-stabilizing events merely reset the per-segment state. CheckFTSS,
+// the measurements and every harness read their verdicts from here; the
+// brute-force oracle in core/coretest is what the differential tests hold
+// it to at every prefix.
 
 package core
 
@@ -17,129 +15,15 @@ import (
 	"ftss/internal/proc"
 )
 
-// WindowChecker is the streaming form of one Definition 2.4 window
-// family: the windows [lo, lo], [lo, lo+1], … of a single stable segment,
-// all under one faulty set. Extend(hi) must be called with hi increasing
-// by one from lo, and must return exactly what Problem.Check(h, lo, hi,
-// faulty) would return, given that every earlier Extend returned nil.
-// (The batch checker stops at the first violated window, so the contract
-// never requires extending past a failure.)
-type WindowChecker interface {
-	Extend(hi int) error
-}
-
-// Streaming is implemented by Problems whose window verdicts can be
-// extended one round at a time instead of recomputed. Problems without it
-// are handled by re-running the full Check per extension — correct but
-// O(window) per round.
-type Streaming interface {
-	Problem
-	NewWindow(h *history.History, lo int, faulty proc.Set) WindowChecker
-}
-
-// NewWindowChecker builds the streaming window for sigma if it supports
-// Streaming, and a full-recheck fallback otherwise.
-func NewWindowChecker(sigma Problem, h *history.History, lo int, faulty proc.Set) WindowChecker {
-	if s, ok := sigma.(Streaming); ok {
-		return s.NewWindow(h, lo, faulty)
-	}
-	return &recheckWindow{h: h, sigma: sigma, lo: lo, faulty: faulty}
-}
-
-// recheckWindow is the generic fallback: each extension re-runs the batch
-// predicate on the grown window, which is trivially batch-equivalent.
-type recheckWindow struct {
-	h      *history.History
-	sigma  Problem
-	lo     int
-	faulty proc.Set
-}
-
-func (w *recheckWindow) Extend(hi int) error {
-	return w.sigma.Check(w.h, w.lo, hi, w.faulty)
-}
-
-// --- streaming implementations of the core problems ---
-
-var (
-	_ Streaming = RoundAgreement{}
-	_ Streaming = Uniformity{}
-	_ Streaming = And{}
-)
-
-// NewWindow implements Streaming. Extending [lo, hi-1] to [lo, hi] adds
-// exactly the Rate check of round hi-1 — whose read of round hi's start
-// state was outside the smaller window (H3) — and the Agreement check of
-// round hi, in the batch scan's order.
-func (RoundAgreement) NewWindow(h *history.History, lo int, faulty proc.Set) WindowChecker {
-	return &roundAgreementWindow{h: h, lo: lo, faulty: faulty}
-}
-
-type roundAgreementWindow struct {
-	h      *history.History
-	lo     int
-	faulty proc.Set
-}
-
-func (w *roundAgreementWindow) Extend(hi int) error {
-	if hi > w.lo {
-		if err := (RoundAgreement{}).checkRate(w.h, hi-1, w.faulty); err != nil {
-			return err
-		}
-	}
-	return (RoundAgreement{}).checkAgreement(w.h, hi, w.faulty)
-}
-
-// NewWindow implements Streaming: Uniformity constrains each round
-// independently, so extension is a single-round check.
-func (Uniformity) NewWindow(h *history.History, lo int, faulty proc.Set) WindowChecker {
-	return &uniformityWindow{h: h, faulty: faulty}
-}
-
-type uniformityWindow struct {
-	h      *history.History
-	faulty proc.Set
-}
-
-func (w *uniformityWindow) Extend(hi int) error {
-	return (Uniformity{}).Check(w.h, hi, hi, w.faulty)
-}
-
-// NewWindow implements Streaming: each component streams independently
-// (falling back to full rechecks for non-streaming members), extended in
-// conjunction order. The first failing component at the first failing
-// extension is the batch And's first failing component at its first
-// failing window, because the batch checker evaluates windows in
-// increasing end order and each component is individually stream-exact.
-func (a And) NewWindow(h *history.History, lo int, faulty proc.Set) WindowChecker {
-	ws := make([]WindowChecker, len(a))
-	for i, p := range a {
-		ws[i] = NewWindowChecker(p, h, lo, faulty)
-	}
-	return andWindow(ws)
-}
-
-type andWindow []WindowChecker
-
-func (ws andWindow) Extend(hi int) error {
-	for _, w := range ws {
-		if err := w.Extend(hi); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // windowScan drives one segment's window family [lo, b] for increasing b,
-// handling the detail the WindowChecker contract fixes away: the batch
-// checker judges window [lo, b] under F(b), the faulty set of prefix b,
-// which can grow inside a segment. Faulty sets are shared by identity in
-// the history, so growth is an O(1) pointer comparison; on growth the
-// streaming state is rebuilt by replaying [lo, b-1] under the new set.
-// The replay is batch-exact: its check sequence is a prefix of the batch
-// scan of window [lo, b] under F(b), so a replay failure is precisely the
-// failure Check(h, lo, b, F(b)) would report. F grows at most n times, so
-// the amortized cost per append stays O(delta).
+// handling the detail the WindowChecker contract fixes away: Definition
+// 2.4 judges window [lo, b] under F(b), the faulty set of prefix b, which
+// can grow inside a segment. Faulty sets are shared by identity in the
+// history, so growth is an O(1) pointer comparison; on growth the window
+// is rebuilt by replaying [lo, b-1] under the new set. A replay failure
+// is a failure of window [lo, b] under F(b): the replayed extensions are
+// a prefix of that window's. F grows at most n times, so the amortized
+// cost per append stays O(delta).
 type windowScan struct {
 	h      *history.History
 	sigma  Problem
@@ -149,12 +33,12 @@ type windowScan struct {
 }
 
 // extend folds window [lo, b] into the scan; b must increase by one per
-// call starting at lo. It returns what Check(h, lo, b, FaultyUpToView(b))
+// call starting at lo. It returns what Check(sigma, h, lo, b, F(b))
 // returns, given all earlier extends passed.
 func (s *windowScan) extend(b int) error {
 	faulty := s.h.FaultyUpToView(b)
 	if s.win == nil || faulty != s.faulty {
-		s.win, s.faulty = NewWindowChecker(s.sigma, s.h, s.lo, faulty), faulty
+		s.win, s.faulty = s.sigma.NewWindow(s.h, s.lo, faulty), faulty
 		for r := s.lo; r < b; r++ {
 			if err := s.win.Extend(r); err != nil {
 				return err
@@ -177,19 +61,15 @@ type SegmentResult struct {
 
 // IncrementalChecker maintains the Definition 2.4 verdict of a growing
 // history, one observed round at a time. It attaches to the history's
-// append hook; each appended round costs one streaming window extension
-// plus O(1) boundary bookkeeping, instead of the batch checker's full
-// O(T²) re-evaluation. Verdict is byte-identical to CheckFTSS and Measure
-// to MeasureStabilization on the history recorded so far — the
-// differential tests replay chaotic histories prefix by prefix against
-// both. Memory is O(segments + streaming state), independent of history
-// length, so soak and cluster harnesses can hold progressive verdicts
-// over unbounded runs.
+// append hook; each appended round costs one window extension plus O(1)
+// boundary bookkeeping. Memory is O(segments + window state), independent
+// of history length, so soak and cluster harnesses can hold progressive
+// verdicts over unbounded runs.
 type IncrementalChecker struct {
 	h     *history.History
 	sigma Problem
 	stab  int
-	// stabErr mirrors CheckFTSS's rejection of stab < 1.
+	// stabErr rejects stab < 1; no round is evaluated under it.
 	stabErr error
 
 	// Open segment.
@@ -218,8 +98,8 @@ func NewIncrementalChecker(h *history.History, sigma Problem, stab int) *Increme
 }
 
 // EvalIncremental builds a checker over the rounds h already holds
-// without attaching to its append hook: a one-shot streaming evaluation
-// for completed histories (history hooks cannot be detached, so repeated
+// without attaching to its append hook: a one-shot evaluation for
+// completed histories (history hooks cannot be detached, so repeated
 // one-shot verdicts must not accumulate them).
 func EvalIncremental(h *history.History, sigma Problem, stab int) *IncrementalChecker {
 	ic := &IncrementalChecker{h: h, sigma: sigma, stab: stab}
@@ -264,8 +144,8 @@ func (ic *IncrementalChecker) append(t int) {
 		ic.openSegment(t)
 	}
 	if t < ic.scan.lo || ic.segErr != nil {
-		// Inside the grace period, or the segment already failed: the
-		// batch checker evaluates no further window of this segment.
+		// Inside the grace period, or the segment already failed: no
+		// further window of this segment is evaluated.
 		return
 	}
 	if err := ic.scan.extend(t); err != nil {
@@ -306,8 +186,9 @@ func (ic *IncrementalChecker) Segments() []SegmentResult {
 	return out
 }
 
-// Verdict returns what CheckFTSS(h, sigma, stab) would return on the
-// history recorded so far, byte for byte.
+// Verdict returns the Definition 2.4 verdict of the history recorded so
+// far: nil, or the first window violation of the earliest failed segment,
+// wrapped with that segment's span and coterie.
 func (ic *IncrementalChecker) Verdict() error {
 	if ic.stabErr != nil {
 		return ic.stabErr
@@ -322,77 +203,10 @@ func (ic *IncrementalChecker) Verdict() error {
 	return nil
 }
 
-// Measure reports the stabilization measurement of the history recorded
-// so far; it equals MeasureStabilization(h, sigma) by construction.
+// Measure reports MeasureStabilization of the history recorded so far.
 // Unlike Verdict it re-walks the final segment (the measurement
-// quantifies over candidate start rounds, which streaming state does not
+// quantifies over candidate start rounds, which window state does not
 // retain), so call it at measurement points rather than per round.
 func (ic *IncrementalChecker) Measure() StabilizationMeasurement {
 	return MeasureStabilization(ic.h, ic.sigma)
-}
-
-// MinimalStabilization returns the smallest stabilization budget b ≥ 1
-// for which CheckFTSS(h, sigma, b) passes. It replaces the harnesses'
-// linear budget scans (one full batch check per candidate budget, O(T³)
-// round-checks): each stable segment is scanned once with a two-pointer
-// streaming pass, O(T²) worst case and O(T) when the history is
-// well-behaved. A budget always exists — once it exceeds a segment's
-// length every window of that segment is empty — and equals the max over
-// segments of (minimal feasible window start − segment start).
-//
-// Soundness of the left-pointer advance rests on the same monotonicity
-// the linear scan exploited implicitly: a window that satisfies Σ still
-// satisfies it after its start moves right, because every problem in this
-// repository constrains only rounds inside the window (shrinking it drops
-// constraints). Feasibility of the returned budget does not depend on the
-// assumption — the final lo's windows were all checked directly. The
-// property tests compare against the linear-scan oracle on seeded chaotic
-// histories.
-func MinimalStabilization(h *history.History, sigma Problem) int {
-	best := 1
-	for _, seg := range h.StableSegments() {
-		lo := seg.Start + 1
-		if lo < 1 {
-			lo = 1
-		}
-		sc := &windowScan{h: h, sigma: sigma, lo: lo}
-		for x := lo; x <= seg.End; {
-			if x < lo {
-				// The start moved past x: windows ending before lo do not
-				// exist, so resume checking at the window [lo, lo].
-				x = lo
-				continue
-			}
-			if sc == nil {
-				// lo advanced: replay [lo, x-1] under the fresh start. A
-				// replay failure at b means window [lo, b] is violated,
-				// so this lo is infeasible too.
-				sc = &windowScan{h: h, sigma: sigma, lo: lo}
-				failed := false
-				for b := lo; b < x; b++ {
-					if sc.extend(b) != nil {
-						failed = true
-						break
-					}
-				}
-				if failed {
-					lo++
-					sc = nil
-					continue
-				}
-			}
-			if sc.extend(x) != nil {
-				// [lo, x] fails; by shrink-monotonicity every smaller lo
-				// fails at x as well, so advance the start.
-				lo++
-				sc = nil
-				continue
-			}
-			x++
-		}
-		if b := lo - seg.Start; b > best {
-			best = b
-		}
-	}
-	return best
 }

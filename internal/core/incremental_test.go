@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ftss/internal/core/coretest"
 	"ftss/internal/failure"
 	"ftss/internal/history"
 	"ftss/internal/proc"
@@ -18,11 +19,9 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// genericWrap hides a problem's Streaming implementation behind a Func so
-// the differential tests also cover the recheckWindow fallback path.
-func genericWrap(p Problem) Problem {
-	return Func{ProblemName: p.Name(), CheckFunc: p.Check}
-}
+// agreementOnly is the Agreement clause of Assumption 1 alone, as a
+// per-round Func, so the differential tests also cover the Func window.
+var agreementOnly = Func{ProblemName: "agreement-only", Round: RoundAgreement{}.checkAgreement}
 
 // chaosScript drives one seeded chaotic run: random omissions on
 // designated-faulty processes (growing the actual faulty set mid-history),
@@ -70,11 +69,11 @@ func (cs chaosScript) run(t *testing.T, attach func(h *history.History), inspect
 }
 
 // TestIncrementalMatchesBatchEveryPrefix is the differential property
-// test for the tentpole: chaotic seeded histories replayed round by round
-// through IncrementalChecker must agree with the batch CheckFTSS /
-// MeasureStabilization verdict-for-verdict and measurement-for-
-// measurement at every prefix, for streaming problems, streaming
-// conjunctions, and the generic (non-streaming) fallback.
+// test for the evaluator: chaotic seeded histories replayed round by
+// round through IncrementalChecker must agree with the brute-force
+// oracle (coretest) verdict-for-verdict, error text included, and
+// measurement-for-measurement at every prefix, for the core problems,
+// conjunctions, and a per-round Func.
 func TestIncrementalMatchesBatchEveryPrefix(t *testing.T) {
 	sigmas := []struct {
 		name  string
@@ -83,8 +82,8 @@ func TestIncrementalMatchesBatchEveryPrefix(t *testing.T) {
 		{"round-agreement", RoundAgreement{}},
 		{"uniformity", Uniformity{}},
 		{"and", And{RoundAgreement{}, Uniformity{}}},
-		{"generic-fallback", genericWrap(RoundAgreement{})},
-		{"and-mixed", And{genericWrap(Uniformity{}), RoundAgreement{}}},
+		{"func", agreementOnly},
+		{"and-mixed", And{agreementOnly, Uniformity{}, RoundAgreement{}}},
 	}
 	stabs := []int{1, 2, 4}
 	for seed := int64(1); seed <= 6; seed++ {
@@ -99,16 +98,20 @@ func TestIncrementalMatchesBatchEveryPrefix(t *testing.T) {
 				},
 				func(h *history.History, r int) {
 					for i, stab := range stabs {
-						want := errString(CheckFTSS(h, sc.sigma, stab))
+						want := errString(coretest.CheckFTSS(h, windows(sc.sigma), stab))
 						got := errString(ics[i].Verdict())
 						if got != want {
-							t.Fatalf("seed %d sigma %s stab %d prefix %d:\nincremental: %s\nbatch:       %s",
+							t.Fatalf("seed %d sigma %s stab %d prefix %d:\nincremental: %s\noracle:      %s",
 								seed, sc.name, stab, r, got, want)
 						}
-						if m, bm := ics[i].Measure(), MeasureStabilization(h, sc.sigma); m != bm {
-							t.Fatalf("seed %d sigma %s prefix %d: Measure %+v != batch %+v",
-								seed, sc.name, r, m, bm)
+						if got := errString(CheckFTSS(h, sc.sigma, stab)); got != want {
+							t.Fatalf("seed %d sigma %s stab %d prefix %d:\nCheckFTSS: %s\noracle:    %s",
+								seed, sc.name, stab, r, got, want)
 						}
+					}
+					if m, rm := ics[0].Measure(), refMeasure(h, sc.sigma); m != rm {
+						t.Fatalf("seed %d sigma %s prefix %d: Measure %+v != oracle %+v",
+							seed, sc.name, r, m, rm)
 					}
 				})
 		}
@@ -126,19 +129,20 @@ func TestIncrementalCatchUp(t *testing.T) {
 				return
 			}
 			ic := NewIncrementalChecker(h, RoundAgreement{}, 2)
-			want := errString(CheckFTSS(h, RoundAgreement{}, 2))
+			want := errString(coretest.CheckFTSS(h, windows(RoundAgreement{}), 2))
 			if got := errString(ic.Verdict()); got != want {
-				t.Fatalf("seed %d prefix %d: catch-up verdict %s != batch %s", seed, r, got, want)
+				t.Fatalf("seed %d prefix %d: catch-up verdict %s != oracle %s", seed, r, got, want)
 			}
 		})
 	}
 }
 
-// TestIncrementalRejectsBadStab mirrors CheckFTSS's stab validation.
+// TestIncrementalRejectsBadStab: stab < 1 is rejected with the oracle's
+// text.
 func TestIncrementalRejectsBadStab(t *testing.T) {
 	h := history.New(2, proc.NewSet())
 	ic := NewIncrementalChecker(h, RoundAgreement{}, 0)
-	want := errString(CheckFTSS(h, RoundAgreement{}, 0))
+	want := errString(coretest.CheckFTSS(h, windows(RoundAgreement{}), 0))
 	if got := errString(ic.Verdict()); got != want {
 		t.Errorf("stab=0 verdict %q, want %q", got, want)
 	}
@@ -168,9 +172,9 @@ func TestIncrementalSegments(t *testing.T) {
 		})
 }
 
-// TestMinimalStabilizationMatchesLinearOracle compares the two-pointer
-// scan against the linear budget scan it replaces: the smallest b with
-// CheckFTSS(h, sigma, b) == nil.
+// TestMinimalStabilizationMatchesLinearOracle compares the per-segment
+// earliest-start scan against a linear scan over budgets: the smallest b
+// the brute-force oracle accepts.
 func TestMinimalStabilizationMatchesLinearOracle(t *testing.T) {
 	sigmas := []struct {
 		name  string
@@ -178,7 +182,7 @@ func TestMinimalStabilizationMatchesLinearOracle(t *testing.T) {
 	}{
 		{"round-agreement", RoundAgreement{}},
 		{"and", And{RoundAgreement{}, Uniformity{}}},
-		{"generic-fallback", genericWrap(RoundAgreement{})},
+		{"func", agreementOnly},
 	}
 	for seed := int64(1); seed <= 6; seed++ {
 		for _, sc := range sigmas {
@@ -190,7 +194,7 @@ func TestMinimalStabilizationMatchesLinearOracle(t *testing.T) {
 				got := MinimalStabilization(h, sc.sigma)
 				oracle := -1
 				for b := 1; b <= h.Len()+1; b++ {
-					if CheckFTSS(h, sc.sigma, b) == nil {
+					if coretest.CheckFTSS(h, windows(sc.sigma), b) == nil {
 						oracle = b
 						break
 					}

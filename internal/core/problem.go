@@ -16,17 +16,46 @@ import (
 )
 
 // Problem is the paper's Σ: a predicate on a history (here, a window of a
-// recorded history) and a set of faulty processes.
+// recorded history) and a set of faulty processes. It is written once, as
+// a window that grows: NewWindow opens the window family [lo, lo],
+// [lo, lo+1], … of actual rounds (inclusive, 1-based) of h under
+// F = faulty, and each Extend grows the window by one round. Check drives
+// a window over a fixed range; windowScan drives Definition 2.4's
+// families.
 //
-// Check evaluates Σ on actual rounds lo..hi (inclusive, 1-based) of h,
-// treating `faulty` as F. A window with lo > hi is empty and trivially
-// satisfied. Check returns nil if Σ holds and a *Violation otherwise.
-//
-// Implementations must treat `faulty` as read-only: the solve-checkers
-// pass the history's internal set without a defensive copy.
+// Implementations must treat `faulty` as read-only: the checkers pass the
+// history's internal set without a defensive copy.
 type Problem interface {
 	Name() string
-	Check(h *history.History, lo, hi int, faulty proc.Set) error
+	NewWindow(h *history.History, lo int, faulty proc.Set) WindowChecker
+}
+
+// WindowChecker is one window family of a Problem. Extend(hi) must be
+// called with hi increasing by one from lo; it returns nil if Σ holds on
+// [lo, hi] and a *Violation otherwise, and may read no state beyond round
+// hi (H3 in Definition 2.4). No caller extends past a failure.
+type WindowChecker interface {
+	Extend(hi int) error
+}
+
+// PerRound is the window of a Σ that constrains each round independently:
+// extending to hi checks round hi alone.
+type PerRound func(r int) error
+
+// Extend implements WindowChecker.
+func (check PerRound) Extend(hi int) error { return check(hi) }
+
+// Check evaluates Σ on actual rounds lo..hi of h, treating `faulty` as F.
+// A window with lo > hi is empty and trivially satisfied. The violation
+// reported is the one at the earliest round.
+func Check(sigma Problem, h *history.History, lo, hi int, faulty proc.Set) error {
+	w := sigma.NewWindow(h, lo, faulty)
+	for r := lo; r <= hi; r++ {
+		if err := w.Extend(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Violation reports where and why a problem predicate failed.
@@ -50,26 +79,28 @@ type RoundAgreement struct{}
 // Name implements Problem.
 func (RoundAgreement) Name() string { return "round-agreement (Assumption 1)" }
 
-// Check implements Problem. The per-round clauses are split into
-// checkAgreement and checkRate so the streaming window in incremental.go
-// runs literally the same code in the same order as this batch scan.
-func (ra RoundAgreement) Check(h *history.History, lo, hi int, faulty proc.Set) error {
-	for r := lo; r <= hi; r++ {
-		if err := ra.checkAgreement(h, r, faulty); err != nil {
-			return err
-		}
-		// Rate reads the state at the start of round r+1, so it is only
-		// enforced while r+1 is still inside the window: the predicate must
-		// not read state beyond the history fragment it is given (H3 in
-		// Definition 2.4).
-		if r == hi {
-			continue
-		}
-		if err := ra.checkRate(h, r, faulty); err != nil {
+// NewWindow implements Problem.
+func (RoundAgreement) NewWindow(h *history.History, lo int, faulty proc.Set) WindowChecker {
+	return &roundAgreementWindow{h: h, lo: lo, faulty: faulty}
+}
+
+type roundAgreementWindow struct {
+	h      *history.History
+	lo     int
+	faulty proc.Set
+}
+
+// Extend adds the Rate check of round hi-1 and the Agreement check of
+// round hi. Rate reads the state at the start of round r+1, so it is only
+// enforced once r+1 is inside the window: the predicate must not read
+// state beyond the history fragment it is given (H3 in Definition 2.4).
+func (w *roundAgreementWindow) Extend(hi int) error {
+	if hi > w.lo {
+		if err := (RoundAgreement{}).checkRate(w.h, hi-1, w.faulty); err != nil {
 			return err
 		}
 	}
-	return nil
+	return (RoundAgreement{}).checkAgreement(w.h, hi, w.faulty)
 }
 
 // checkAgreement: c_p^r equal across correct alive processes. Iterating
@@ -138,39 +169,41 @@ type Uniformity struct{}
 // Name implements Problem.
 func (Uniformity) Name() string { return "uniformity (Assumption 2)" }
 
-// Check implements Problem.
-func (Uniformity) Check(h *history.History, lo, hi int, faulty proc.Set) error {
-	for r := lo; r <= hi; r++ {
-		// Reference clock: any correct process's clock.
-		ref := proc.None
-		var refClock uint64
-		for _, p := range h.AliveAt(r).Sorted() {
-			if faulty.Has(p) {
-				continue
-			}
-			if c, ok := h.ClockAt(r, p); ok {
-				ref, refClock = p, c
-				break
-			}
+// NewWindow implements Problem.
+func (u Uniformity) NewWindow(h *history.History, lo int, faulty proc.Set) WindowChecker {
+	return PerRound(func(r int) error { return u.checkRound(h, r, faulty) })
+}
+
+func (Uniformity) checkRound(h *history.History, r int, faulty proc.Set) error {
+	// Reference clock: any correct process's clock.
+	ref := proc.None
+	var refClock uint64
+	for _, p := range h.AliveAt(r).Sorted() {
+		if faulty.Has(p) {
+			continue
 		}
-		if ref == proc.None {
-			continue // no correct process alive; nothing to compare against
+		if c, ok := h.ClockAt(r, p); ok {
+			ref, refClock = p, c
+			break
 		}
-		for _, p := range faulty.Sorted() {
-			snap, ok := h.SnapshotAt(r, p)
-			if !ok {
-				continue // crashed counts as halted
-			}
-			if snap.Halted {
-				continue
-			}
-			if snap.Clock != refClock {
-				return &Violation{
-					Problem: "uniformity",
-					Round:   r,
-					Detail: fmt.Sprintf("faulty %v is not halted and c_%v^%d = %d ≠ %d = c_%v^%d",
-						p, p, r, snap.Clock, refClock, ref, r),
-				}
+	}
+	if ref == proc.None {
+		return nil // no correct process alive; nothing to compare against
+	}
+	for _, p := range faulty.Sorted() {
+		snap, ok := h.SnapshotAt(r, p)
+		if !ok {
+			continue // crashed counts as halted
+		}
+		if snap.Halted {
+			continue
+		}
+		if snap.Clock != refClock {
+			return &Violation{
+				Problem: "uniformity",
+				Round:   r,
+				Detail: fmt.Sprintf("faulty %v is not halted and c_%v^%d = %d ≠ %d = c_%v^%d",
+					p, p, r, snap.Clock, refClock, ref, r),
 			}
 		}
 	}
@@ -192,26 +225,38 @@ func (a And) Name() string {
 	return s + ")"
 }
 
-// Check implements Problem.
-func (a And) Check(h *history.History, lo, hi int, faulty proc.Set) error {
-	for _, p := range a {
-		if err := p.Check(h, lo, hi, faulty); err != nil {
+// NewWindow implements Problem: each component streams independently,
+// extended in conjunction order.
+func (a And) NewWindow(h *history.History, lo int, faulty proc.Set) WindowChecker {
+	ws := make(andWindow, len(a))
+	for i, p := range a {
+		ws[i] = p.NewWindow(h, lo, faulty)
+	}
+	return ws
+}
+
+type andWindow []WindowChecker
+
+func (ws andWindow) Extend(hi int) error {
+	for _, w := range ws {
+		if err := w.Extend(hi); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Func adapts a function to the Problem interface.
+// Func adapts a per-round predicate to the Problem interface: Σ holds on
+// a window iff Round holds at every round of it.
 type Func struct {
 	ProblemName string
-	CheckFunc   func(h *history.History, lo, hi int, faulty proc.Set) error
+	Round       func(h *history.History, r int, faulty proc.Set) error
 }
 
 // Name implements Problem.
 func (f Func) Name() string { return f.ProblemName }
 
-// Check implements Problem.
-func (f Func) Check(h *history.History, lo, hi int, faulty proc.Set) error {
-	return f.CheckFunc(h, lo, hi, faulty)
+// NewWindow implements Problem.
+func (f Func) NewWindow(h *history.History, lo int, faulty proc.Set) WindowChecker {
+	return PerRound(func(r int) error { return f.Round(h, r, faulty) })
 }

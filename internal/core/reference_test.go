@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ftss/internal/core/coretest"
 	"ftss/internal/failure"
 	"ftss/internal/history"
 	"ftss/internal/proc"
@@ -11,55 +12,27 @@ import (
 	"ftss/internal/sim/round"
 )
 
-// refCheckFTSS is a brute-force reference implementation of the
-// Definition 2.4 checker: it quantifies directly over segment boundaries
-// and window ends instead of using StableSegments' incremental structure.
-// A boundary is any prefix t where the coterie changed or a systemic
-// failure was recorded; for each boundary b and window end e with no
-// boundary in (b, e], Σ(rounds b+stab .. e, F_e) must hold.
-func refCheckFTSS(h *history.History, sigma Problem, stab int) error {
-	boundary := make([]bool, h.Len()+1)
-	for t := 1; t <= h.Len(); t++ {
-		if !h.CoterieAt(t).Equal(h.CoterieAt(t - 1)) {
-			boundary[t] = true
-		}
+// windows hands Σ to the brute-force oracle in whole-window form, through
+// the generic driver.
+func windows(sigma Problem) coretest.Window {
+	return func(h *history.History, lo, hi int, faulty proc.Set) error {
+		return Check(sigma, h, lo, hi, faulty)
 	}
-	for _, m := range h.SystemicFailureMarks() {
-		if m+1 <= h.Len() {
-			boundary[m+1] = true
-		}
-	}
-	for b := 0; b <= h.Len(); b++ {
-		if b > 0 && !boundary[b] {
-			continue
-		}
-		lo := b + stab
-		if lo < 1 {
-			lo = 1
-		}
-		for e := lo; e <= h.Len(); e++ {
-			// Stop at the next boundary.
-			broken := false
-			for t := b + 1; t <= e; t++ {
-				if boundary[t] {
-					broken = true
-					break
-				}
-			}
-			if broken {
-				break
-			}
-			if err := sigma.Check(h, lo, e, h.FaultyUpTo(e)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
-// TestCheckFTSSAgainstReference cross-validates the production checker
-// against the brute-force reference over randomized runs, with and without
-// mid-run corruption marks.
+// refMeasure is the oracle's measurement in MeasureStabilization's shape.
+func refMeasure(h *history.History, sigma Problem) StabilizationMeasurement {
+	event, from := coretest.Measure(h, windows(sigma))
+	m := StabilizationMeasurement{EventRound: event, SatisfiedFrom: from, Rounds: -1}
+	if from >= 0 {
+		m.Rounds = from - event
+	}
+	return m
+}
+
+// TestCheckFTSSAgainstReference cross-validates the evaluator against the
+// brute-force oracle (coretest) over randomized runs, with and without
+// mid-run corruption marks: verdict text and measurement must be equal.
 func TestCheckFTSSAgainstReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		n := 2 + int(seed)%4
@@ -84,11 +57,14 @@ func TestCheckFTSSAgainstReference(t *testing.T) {
 		e.Run(10)
 
 		for _, stab := range []int{1, 2, 4} {
-			got := CheckFTSS(h, RoundAgreement{}, stab)
-			want := refCheckFTSS(h, RoundAgreement{}, stab)
-			if (got == nil) != (want == nil) {
-				t.Fatalf("seed=%d stab=%d: checker=%v reference=%v", seed, stab, got, want)
+			got := errString(CheckFTSS(h, RoundAgreement{}, stab))
+			want := errString(coretest.CheckFTSS(h, windows(RoundAgreement{}), stab))
+			if got != want {
+				t.Fatalf("seed=%d stab=%d:\nchecker:   %s\nreference: %s", seed, stab, got, want)
 			}
+		}
+		if got, want := MeasureStabilization(h, RoundAgreement{}), refMeasure(h, RoundAgreement{}); got != want {
+			t.Fatalf("seed=%d: MeasureStabilization %+v, reference %+v", seed, got, want)
 		}
 	}
 }
@@ -134,10 +110,10 @@ func TestUniformityVacuousWhenNoCorrectAlive(t *testing.T) {
 	e := round.MustNewEngine(ps, adv)
 	e.Observe(h)
 	e.Run(4)
-	if err := (Uniformity{}).Check(h, 3, 4, proc.NewSet(0, 1)); err != nil {
+	if err := Check(Uniformity{}, h, 3, 4, proc.NewSet(0, 1)); err != nil {
 		t.Errorf("vacuous uniformity failed: %v", err)
 	}
-	if err := (RoundAgreement{}).Check(h, 3, 4, proc.NewSet(0, 1)); err != nil {
+	if err := Check(RoundAgreement{}, h, 3, 4, proc.NewSet(0, 1)); err != nil {
 		t.Errorf("vacuous agreement failed: %v", err)
 	}
 }

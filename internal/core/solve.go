@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"ftss/internal/history"
 	"ftss/internal/proc"
 )
@@ -12,14 +10,14 @@ import (
 // failures assumed — the caller is responsible for having started the run
 // in a good state).
 func CheckFT(h *history.History, sigma Problem) error {
-	return sigma.Check(h, 1, h.Len(), h.Faulty())
+	return Check(sigma, h, 1, h.Len(), h.Faulty())
 }
 
 // CheckSS verifies Definition 2.2 on a recorded history: Σ(H', ∅) must hold
 // where H' is the stab-suffix (systemic failures permitted, no process
 // failures).
 func CheckSS(h *history.History, sigma Problem, stab int) error {
-	return sigma.Check(h, stab+1, h.Len(), proc.NewSet())
+	return Check(sigma, h, stab+1, h.Len(), proc.NewSet())
 }
 
 // CheckTentative verifies the rejected Tentative Definition 1:
@@ -27,7 +25,7 @@ func CheckSS(h *history.History, sigma Problem, stab int) error {
 // this for any finite stab; the experiments use this checker to exhibit the
 // violating scenarios.
 func CheckTentative(h *history.History, sigma Problem, stab int) error {
-	return sigma.Check(h, stab+1, h.Len(), h.Faulty())
+	return Check(sigma, h, stab+1, h.Len(), h.Faulty())
 }
 
 // CheckFTSS verifies Definition 2.4 (piece-wise stability) on a recorded
@@ -49,25 +47,7 @@ func CheckTentative(h *history.History, sigma Problem, stab int) error {
 // coincide, and Theorem 3's obligation — agreement from the round after
 // the event — is exactly what this checker enforces.
 func CheckFTSS(h *history.History, sigma Problem, stab int) error {
-	if stab < 1 {
-		return fmt.Errorf("stabilization time must be ≥ 1, got %d", stab)
-	}
-	for _, seg := range h.StableSegments() {
-		// The de-stabilizing event happened in round seg.Start (for the
-		// initial segment, seg.Start = 0 and there is no event; grace is
-		// counted from the beginning of time).
-		lo := seg.Start + stab
-		if lo < 1 {
-			lo = 1
-		}
-		for b := lo; b <= seg.End; b++ {
-			if err := sigma.Check(h, lo, b, h.FaultyUpToView(b)); err != nil {
-				return fmt.Errorf("segment [%d,%d] coterie %v: %w",
-					seg.Start, seg.End, seg.Coterie, err)
-			}
-		}
-	}
-	return nil
+	return EvalIncremental(h, sigma, stab).Verdict()
 }
 
 // StabilizationMeasurement reports how quickly a protocol re-satisfied Σ
@@ -94,25 +74,52 @@ func MeasureStabilization(h *history.History, sigma Problem) StabilizationMeasur
 	segs := h.StableSegments()
 	last := segs[len(segs)-1]
 	m := StabilizationMeasurement{EventRound: last.Start, SatisfiedFrom: -1, Rounds: -1}
+	if s := earliestStart(h, sigma, last.Start, last.End); s <= last.End {
+		m.SatisfiedFrom = s
+		m.Rounds = s - last.Start
+	}
+	return m
+}
 
-	lo := last.Start
+// MinimalStabilization returns the smallest stabilization budget b ≥ 1
+// for which CheckFTSS(h, sigma, b) passes: the max over segments of
+// (earliest feasible window start − segment start). A budget always
+// exists — once it exceeds a segment's length every window of that
+// segment is empty.
+//
+// Taking the max across segments assumes a window that satisfies Σ still
+// satisfies it after its start moves right, which holds for every problem
+// in this repository (each constrains only rounds inside the window, so
+// shrinking it drops constraints). The property tests compare against a
+// linear scan over budgets on seeded chaotic histories.
+func MinimalStabilization(h *history.History, sigma Problem) int {
+	best := 1
+	for _, seg := range h.StableSegments() {
+		if b := earliestStart(h, sigma, seg.Start+1, seg.End) - seg.Start; b > best {
+			best = b
+		}
+	}
+	return best
+}
+
+// earliestStart returns the smallest s in [max(lo, 1), end] such that Σ
+// holds on every window [s, b], s ≤ b ≤ end, of one stable segment, each
+// under F(b); it returns end+1 if there is none. Every candidate start is
+// scanned until its first failing window, so the cost is the sum of those
+// distances: O(T) when the segment is well-behaved, O(T²) worst case.
+func earliestStart(h *history.History, sigma Problem, lo, end int) int {
 	if lo < 1 {
 		lo = 1
 	}
-	// Find the smallest s in [lo, end] such that all windows [s, b] pass.
-	for s := lo; s <= last.End; s++ {
-		ok := true
-		for b := s; b <= last.End; b++ {
-			if sigma.Check(h, s, b, h.FaultyUpToView(b)) != nil {
-				ok = false
-				break
-			}
+	for ; lo <= end; lo++ {
+		sc := windowScan{h: h, sigma: sigma, lo: lo}
+		b := lo
+		for b <= end && sc.extend(b) == nil {
+			b++
 		}
-		if ok {
-			m.SatisfiedFrom = s
-			m.Rounds = s - last.Start
-			return m
+		if b > end {
+			break
 		}
 	}
-	return m
+	return lo
 }

@@ -153,27 +153,29 @@ var _ core.Problem = MutualExclusion{}
 // Name implements core.Problem.
 func (m MutualExclusion) Name() string { return "dijkstra-mutual-exclusion" }
 
-// Check implements core.Problem.
-func (m MutualExclusion) Check(h *history.History, lo, hi int, faulty proc.Set) error {
-	for r := lo; r <= hi; r++ {
-		vals := make([]uint64, h.N())
-		for i := 0; i < h.N(); i++ {
-			c, ok := h.ClockAt(r, proc.ID(i))
-			if !ok {
-				return &core.Violation{
-					Problem: "dijkstra",
-					Round:   r,
-					Detail:  "machine missing (the ring model has no process failures)",
-				}
-			}
-			vals[i] = c
-		}
-		if priv := Privileged(vals, m.K); priv.Len() != 1 {
+// NewWindow implements core.Problem.
+func (m MutualExclusion) NewWindow(h *history.History, lo int, faulty proc.Set) core.WindowChecker {
+	return core.PerRound(func(r int) error { return m.checkRound(h, r) })
+}
+
+func (m MutualExclusion) checkRound(h *history.History, r int) error {
+	vals := make([]uint64, h.N())
+	for i := 0; i < h.N(); i++ {
+		c, ok := h.ClockAt(r, proc.ID(i))
+		if !ok {
 			return &core.Violation{
-				Problem: "mutual-exclusion",
+				Problem: "dijkstra",
 				Round:   r,
-				Detail:  fmt.Sprintf("%d privileges %s in state %v", priv.Len(), priv, vals),
+				Detail:  "machine missing (the ring model has no process failures)",
 			}
+		}
+		vals[i] = c
+	}
+	if priv := Privileged(vals, m.K); priv.Len() != 1 {
+		return &core.Violation{
+			Problem: "mutual-exclusion",
+			Round:   r,
+			Detail:  fmt.Sprintf("%d privileges %s in state %v", priv.Len(), priv, vals),
 		}
 	}
 	return nil

@@ -87,7 +87,7 @@ func TestExhaustiveStabilization(t *testing.T) {
 func TestLegitimacyIsClosed(t *testing.T) {
 	cs, h := runRing(t, []uint64{0, 0, 0, 0}, 5, 60)
 	_ = cs
-	if err := (MutualExclusion{K: 5}).Check(h, 1, 60, proc.NewSet()); err != nil {
+	if err := core.Check(MutualExclusion{K: 5}, h, 1, 60, proc.NewSet()); err != nil {
 		t.Fatalf("legitimate start must stay legitimate: %v", err)
 	}
 }
@@ -162,7 +162,7 @@ func TestSmallKCanFailToStabilize(t *testing.T) {
 func TestMutualExclusionViolationReporting(t *testing.T) {
 	// A scattered start violates the predicate in round 1.
 	_, h := runRing(t, []uint64{0, 1, 2, 3}, 5, 3)
-	err := (MutualExclusion{K: 5}).Check(h, 1, 1, proc.NewSet())
+	err := core.Check(MutualExclusion{K: 5}, h, 1, 1, proc.NewSet())
 	if err == nil {
 		t.Fatal("scattered state should violate mutual exclusion")
 	}

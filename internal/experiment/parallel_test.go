@@ -8,12 +8,22 @@ import (
 	"ftss/internal/obs"
 )
 
+// narrowE14 trims E14 to its two narrow widths for the duration of a
+// worker-invariance test. The full sweep runs once in TestE14NScaling
+// (and so in the CI race job, which runs this package without -short).
+func narrowE14(t *testing.T) {
+	full := e14Widths
+	e14Widths = []int{16, 64}
+	t.Cleanup(func() { e14Widths = full })
+}
+
 // TestAllDeterministicAcrossWorkers is the parallel runner's contract: every
 // table All renders is byte-identical whether repetitions run sequentially
 // or fanned across 8 workers. Each repetition derives all randomness from
 // its own seed and rows merge in seed order, so the worker count must be
 // unobservable in the output.
 func TestAllDeterministicAcrossWorkers(t *testing.T) {
+	narrowE14(t)
 	seq := tiny()
 	seq.Workers = 1
 	par := tiny()
@@ -39,6 +49,7 @@ func TestAllDeterministicAcrossWorkers(t *testing.T) {
 // Workers=8. Instruments record post-merge on the caller's goroutine, so
 // the worker count must be unobservable here too.
 func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
+	narrowE14(t)
 	run := func(workers int) (metrics, events []byte) {
 		cfg := tiny()
 		cfg.Workers = workers

@@ -15,6 +15,11 @@ import (
 	"ftss/internal/superimpose"
 )
 
+// e14Widths is E14's sweep. Nothing outside tests writes it: the
+// worker-invariance tests trim it to the two narrow widths, because
+// invariance does not depend on n and the n = 1024 row costs ~20 s a run.
+var e14Widths = []int{16, 64, 256, 1024}
+
 // E14NScaling scales the full verification pipeline — round agreement under
 // a general-omission adversary, the compiled wavefront consensus Π⁺, and
 // the Definition 2.4 checker over the recorded histories — to production
@@ -43,7 +48,7 @@ func E14NScaling(cfg Config) *Table {
 	}
 	raSigma := core.RoundAgreement{}
 	pi := fullinfo.WavefrontConsensus{F: 3}
-	for _, n := range []int{16, 64, 256, 1024} {
+	for _, n := range e14Widths {
 		cfgRow := cfg
 		cfgRow.Seeds = cfg.Seeds * 16 / n
 		if cfgRow.Seeds < 1 {

@@ -82,7 +82,7 @@ func E10ImperfectSynchrony(cfg Config) *Table {
 		e.Observe(h)
 		e.Run(cfg.Rounds)
 		exact := core.MeasureStabilization(h, core.RoundAgreement{})
-		within := (skew.AgreementWithinSkew{Skew: 1}).Check(h, 3, cfg.Rounds, proc.NewSet())
+		within := core.Check(skew.AgreementWithinSkew{Skew: 1}, h, 3, cfg.Rounds, proc.NewSet())
 		passStr := "0/1 exact"
 		if exact.Rounds >= 0 {
 			passStr = "1/1 exact (unexpected)"

@@ -51,9 +51,8 @@ func E1RoundAgreement(cfg Config) *Table {
 				h := history.New(n, faulty)
 				e := round.MustNewEngine(ps, adv)
 				e.Observe(h)
-				// The verdict accumulates while the engine streams rounds:
-				// each append costs O(delta) instead of the batch checker's
-				// O(T²) post-hoc re-evaluation.
+				// The verdict accumulates while the engine runs: each
+				// appended round costs O(delta).
 				ic := core.NewIncrementalChecker(h, sigma, 1)
 				e.Run(cfg.Rounds)
 

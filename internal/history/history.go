@@ -31,17 +31,14 @@ import (
 )
 
 // roundRec is the compact record of one observed round. Snapshot rows are
-// dense by process ID and meaningful only where alive has the ID; the
-// deliveredFrom sender sets are populated only under RetainDeliveries.
+// dense by process ID and meaningful only where alive has the ID. Neither
+// message payloads nor delivery edges are retained: the incremental
+// caches never read past deliveries.
 type roundRec struct {
 	alive    proc.Set
 	deviated proc.Set
 	start    []round.Snapshot
 	end      []round.Snapshot
-	// deliveredFrom[q] is the set of senders whose round broadcast was
-	// delivered to q (nil unless RetainDeliveries was enabled). Message
-	// payloads are not retained: the causal analyses only need edges.
-	deliveredFrom []proc.Set
 }
 
 // History is a recorded synchronous execution plus incrementally maintained
@@ -69,8 +66,7 @@ type History struct {
 	// (see MarkSystemicFailure).
 	marks []int
 
-	retainDeliveries bool
-	onAppend         []func(t int)
+	onAppend []func(t int)
 }
 
 // New creates an empty history for a system of n processes with the given
@@ -92,17 +88,6 @@ func New(n int, designated proc.Set) *History {
 }
 
 var _ round.Observer = (*History)(nil)
-
-// RetainDeliveries makes subsequent observed rounds keep their delivery
-// edges (who heard whom), which NaiveInfluence needs. Off by default: the
-// incremental caches never read past deliveries, and at production widths
-// the edge sets dominate the footprint. Must be called before recording.
-func (h *History) RetainDeliveries() {
-	if len(h.recs) > 0 {
-		panic("history: RetainDeliveries after rounds were recorded")
-	}
-	h.retainDeliveries = true
-}
 
 // OnAppend registers a hook invoked after each observed round has been
 // folded into the causal caches, with the new prefix length. Incremental
@@ -133,20 +118,6 @@ func (h *History) ObserveRound(o round.Observation) {
 		}
 		rec.start[i] = o.Start[id]
 		rec.end[i] = o.End[id]
-	}
-	if h.retainDeliveries {
-		rec.deliveredFrom = make([]proc.Set, h.n)
-		for i := 0; i < h.n; i++ {
-			msgs, ok := o.Delivered[proc.ID(i)]
-			if !ok {
-				continue
-			}
-			from := proc.NewSetCap(h.n)
-			for _, m := range msgs {
-				from.Add(m.From)
-			}
-			rec.deliveredFrom[i] = from
-		}
 	}
 	h.recs = append(h.recs, rec)
 
@@ -234,15 +205,6 @@ func (h *History) AliveAt(r int) proc.Set { return h.recs[r-1].alive }
 // DeviatedAt returns the set of processes that deviated in actual round r.
 // Read-only, like AliveAt.
 func (h *History) DeviatedAt(r int) proc.Set { return h.recs[r-1].deviated }
-
-// DeliveredFrom returns the senders whose round-r broadcast was delivered
-// to p (read-only). It requires RetainDeliveries.
-func (h *History) DeliveredFrom(r int, p proc.ID) proc.Set {
-	if !h.retainDeliveries {
-		panic("history: DeliveredFrom requires RetainDeliveries")
-	}
-	return h.recs[r-1].deliveredFrom[int(p)]
-}
 
 // FaultyUpTo returns F of the t-prefix: the processes that actually
 // deviated from their protocol in rounds 1..t. t may be 0..Len().
@@ -390,55 +352,4 @@ func (h *History) DestabilizingRounds() []int {
 		}
 	}
 	return rs
-}
-
-// NaiveInfluence recomputes Influence(t, q) by breadth-first search over
-// the event grid, without the incremental caches. It exists as an oracle
-// for testing the incremental computation, and requires RetainDeliveries.
-//
-// Nodes are (process, prefix length); edges are program order
-// (p,k)→(p,k+1) for alive p, and message delivery (s,k-1)→(q,k) for every
-// message s→q delivered in round k.
-func (h *History) NaiveInfluence(t int, q proc.ID) proc.Set {
-	if !h.retainDeliveries {
-		panic("history: NaiveInfluence requires RetainDeliveries")
-	}
-	// reached[p][k] = an event of p at prefix k can reach q's state at t.
-	// Walk backwards from (q, t).
-	type node struct {
-		p proc.ID
-		k int
-	}
-	seen := make(map[node]bool)
-	stack := []node{{q, t}}
-	seen[node{q, t}] = true
-	result := proc.NewSet()
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		result.Add(nd.p)
-		if nd.k == 0 {
-			continue
-		}
-		// Program order: p's state at k-1 precedes its state at k. (If p
-		// was crashed in round k it had no state transition, but walking
-		// back through it is harmless: a crashed process receives nothing.)
-		prev := node{nd.p, nd.k - 1}
-		if !seen[prev] {
-			seen[prev] = true
-			stack = append(stack, prev)
-		}
-		// Deliveries in round k into nd.p.
-		from := h.recs[nd.k-1].deliveredFrom[int(nd.p)]
-		if !from.IsZero() {
-			from.ForEach(func(s proc.ID) {
-				src := node{s, nd.k - 1}
-				if !seen[src] {
-					seen[src] = true
-					stack = append(stack, src)
-				}
-			})
-		}
-	}
-	return result
 }

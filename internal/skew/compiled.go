@@ -218,56 +218,69 @@ var _ core.Problem = AgreementWithinSkew{}
 // Name implements core.Problem.
 func (a AgreementWithinSkew) Name() string { return "round-agreement-within-skew" }
 
-// Check implements core.Problem.
-func (a AgreementWithinSkew) Check(h *history.History, lo, hi int, faulty proc.Set) error {
-	for r := lo; r <= hi; r++ {
-		var min, max uint64
-		first := true
-		for _, q := range h.AliveAt(r).Sorted() {
-			if faulty.Has(q) {
-				continue
-			}
-			c, ok := h.ClockAt(r, q)
-			if !ok {
-				continue
-			}
-			if first {
-				min, max, first = c, c, false
-				continue
-			}
-			if c < min {
-				min = c
-			}
-			if c > max {
-				max = c
-			}
-		}
-		if !first && max-min > a.Skew {
-			return &core.Violation{
-				Problem: "agreement-within-skew",
-				Round:   r,
-				Detail:  "clock spread exceeds the skew bound",
-			}
-		}
-		if r == hi {
-			continue
-		}
+// NewWindow implements core.Problem.
+func (a AgreementWithinSkew) NewWindow(h *history.History, lo int, faulty proc.Set) core.WindowChecker {
+	return &skewWindow{h: h, lo: lo, faulty: faulty, skew: a.Skew}
+}
+
+type skewWindow struct {
+	h      *history.History
+	lo     int
+	faulty proc.Set
+	skew   uint64
+}
+
+// Extend implements core.WindowChecker: the rate clause of round hi-1,
+// which reads the clocks at the start of round hi and so is enforced only
+// once hi is inside the window, then the spread clause of round hi.
+func (w *skewWindow) Extend(hi int) error {
+	h, faulty := w.h, w.faulty
+	if hi > w.lo {
+		r := hi - 1
 		for _, q := range h.AliveAt(r).Sorted() {
 			if faulty.Has(q) {
 				continue
 			}
 			before, ok1 := h.ClockAt(r, q)
-			after, ok2 := h.ClockAt(r+1, q)
+			after, ok2 := h.ClockAt(hi, q)
 			if !ok1 || !ok2 {
 				continue
 			}
-			if after < before+1 || after > before+1+a.Skew {
+			if after < before+1 || after > before+1+w.skew {
 				return &core.Violation{
 					Problem: "rate-within-skew",
 					Round:   r,
 					Detail:  "clock step outside [1, 1+skew]",
 				}
 			}
+		}
+	}
+	var min, max uint64
+	first := true
+	for _, q := range h.AliveAt(hi).Sorted() {
+		if faulty.Has(q) {
+			continue
+		}
+		c, ok := h.ClockAt(hi, q)
+		if !ok {
+			continue
+		}
+		if first {
+			min, max, first = c, c, false
+			continue
+		}
+		if c < min {
+			min = c
+		}
+		if c > max {
+			max = c
+		}
+	}
+	if !first && max-min > w.skew {
+		return &core.Violation{
+			Problem: "agreement-within-skew",
+			Round:   hi,
+			Detail:  "clock spread exceeds the skew bound",
 		}
 	}
 	return nil

@@ -112,7 +112,7 @@ func TestAdversarialLagHoldsOneGapForever(t *testing.T) {
 		t.Error("exact agreement should fail under adversarial lag")
 	}
 	// ...but agreement within skew 1 holds from shortly after the start.
-	if err := (AgreementWithinSkew{Skew: 1}).Check(h, 3, 40, proc.NewSet()); err != nil {
+	if err := core.Check(AgreementWithinSkew{Skew: 1}, h, 3, 40, proc.NewSet()); err != nil {
 		t.Errorf("within-skew agreement violated: %v", err)
 	}
 }
@@ -160,14 +160,14 @@ func TestWithinSkewPredicate(t *testing.T) {
 	e.Run(5)
 
 	// Round 1 spread is 3 > 1.
-	if err := (AgreementWithinSkew{Skew: 1}).Check(h, 1, 1, proc.NewSet()); err == nil {
+	if err := core.Check(AgreementWithinSkew{Skew: 1}, h, 1, 1, proc.NewSet()); err == nil {
 		t.Error("spread 3 should violate skew 1")
 	}
-	if err := (AgreementWithinSkew{Skew: 3}).Check(h, 1, 1, proc.NewSet()); err != nil {
+	if err := core.Check(AgreementWithinSkew{Skew: 3}, h, 1, 1, proc.NewSet()); err != nil {
 		t.Errorf("spread 3 within skew 3: %v", err)
 	}
 	// After convergence, skew 0 (= exact agreement) holds.
-	if err := (AgreementWithinSkew{Skew: 0}).Check(h, 2, 5, proc.NewSet()); err != nil {
+	if err := core.Check(AgreementWithinSkew{Skew: 0}, h, 2, 5, proc.NewSet()); err != nil {
 		t.Errorf("post-convergence exact check: %v", err)
 	}
 }

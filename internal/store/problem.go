@@ -30,45 +30,23 @@ type windowAgreement struct{}
 // Name implements core.Problem.
 func (windowAgreement) Name() string { return "store window-agreement" }
 
-// Check implements core.Problem.
-func (windowAgreement) Check(h *history.History, lo, hi int, faulty proc.Set) error {
-	var st windowAgreementState
-	for r := lo; r <= hi; r++ {
-		if err := st.round(h, r, faulty); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// NewWindow implements core.Streaming: the only cross-poll state is the
-// previous frontier, carried across extensions so the incremental
-// checker never rescans.
+// NewWindow implements core.Problem.
 func (windowAgreement) NewWindow(h *history.History, lo int, faulty proc.Set) core.WindowChecker {
 	return &windowAgreementWindow{h: h, faulty: faulty}
 }
 
-var _ core.Streaming = windowAgreement{}
-
+// windowAgreementWindow carries the only cross-poll state, the previous
+// frontier, across extensions.
 type windowAgreementWindow struct {
-	h      *history.History
-	faulty proc.Set
-	st     windowAgreementState
-}
-
-// Extend implements core.WindowChecker.
-func (w *windowAgreementWindow) Extend(hi int) error {
-	return w.st.round(w.h, hi, w.faulty)
-}
-
-// windowAgreementState threads the frontier between polls; round is the
-// batch scan's loop body, shared verbatim with the streaming window.
-type windowAgreementState struct {
+	h        *history.History
+	faulty   proc.Set
 	prevW    uint64
 	havePrev bool
 }
 
-func (st *windowAgreementState) round(h *history.History, r int, faulty proc.Set) error {
+// Extend implements core.WindowChecker.
+func (w *windowAgreementWindow) Extend(r int) error {
+	h, faulty := w.h, w.faulty
 	var common chaos.DecisionCell
 	have := false
 	for _, p := range h.AliveAt(r).Sorted() {
@@ -93,13 +71,13 @@ func (st *windowAgreementState) round(h *history.History, r int, faulty proc.Set
 		}
 	}
 	if have {
-		if st.havePrev && common.Round < st.prevW {
+		if w.havePrev && common.Round < w.prevW {
 			return &core.Violation{
 				Problem: "store window-agreement", Round: r,
-				Detail: fmt.Sprintf("frontier regressed %d → %d", st.prevW, common.Round),
+				Detail: fmt.Sprintf("frontier regressed %d → %d", w.prevW, common.Round),
 			}
 		}
-		st.prevW, st.havePrev = common.Round, true
+		w.prevW, w.havePrev = common.Round, true
 	}
 	return nil
 }

@@ -38,42 +38,73 @@ var _ core.Problem = RepeatedConsensus{}
 // Name implements core.Problem.
 func (rc RepeatedConsensus) Name() string { return "repeated-consensus (Σ⁺)" }
 
-// Check implements core.Problem.
-func (rc RepeatedConsensus) Check(h *history.History, lo, hi int, faulty proc.Set) error {
-	if err := (core.RoundAgreement{}).Check(h, lo, hi, faulty); err != nil {
+// NewWindow implements core.Problem.
+func (rc RepeatedConsensus) NewWindow(h *history.History, lo int, faulty proc.Set) core.WindowChecker {
+	return newRepeatedWindow(h, lo, faulty, rc.FinalRound, rc.checkIteration)
+}
+
+// repeatedWindow is the window of every repeated Σ⁺ predicate: an
+// Assumption 1 window plus a tile scan. The scan's decisions at rounds
+// below hi — reference clocks, skipped rounds, tile starts — do not depend
+// on the window end, so a cursor persists across extensions and each
+// Extend adds the two new Assumption 1 checks and at most one newly
+// completed tile. The single window-dependent clause, the ragged-suffix
+// break when a tile would overrun hi, leaves the cursor in place so the
+// tile is re-attempted once the window reaches its end.
+type repeatedWindow struct {
+	h         *history.History
+	faulty    proc.Set
+	ra        core.WindowChecker
+	fr        int
+	scanR     int
+	checkTile tileCheck
+}
+
+// tileCheck validates the decisions recorded at the end of round `end`,
+// the last round of a completed iteration.
+type tileCheck func(h *history.History, end int, iter uint64, faulty proc.Set) error
+
+func newRepeatedWindow(h *history.History, lo int, faulty proc.Set, fr int, checkTile tileCheck) *repeatedWindow {
+	return &repeatedWindow{
+		h:         h,
+		faulty:    faulty,
+		ra:        core.RoundAgreement{}.NewWindow(h, lo, faulty),
+		fr:        fr,
+		scanR:     lo,
+		checkTile: checkTile,
+	}
+}
+
+// Extend implements core.WindowChecker.
+func (w *repeatedWindow) Extend(hi int) error {
+	if err := w.ra.Extend(hi); err != nil {
 		return err
 	}
-	fr := rc.FinalRound
-
-	r := lo
-	for r <= hi {
-		clock, p, ok := referenceClock(h, r, faulty)
+	for w.scanR <= hi {
+		clock, ok := referenceClock(w.h, w.scanR, w.faulty)
 		if !ok {
-			r++
+			w.scanR++
 			continue
 		}
-		if Normalize(clock, fr) != 1 {
-			r++
+		if Normalize(clock, w.fr) != 1 {
+			w.scanR++
 			continue
 		}
-		// A tile starts at round r; it completes at round r+fr−1.
-		end := r + fr - 1
+		end := w.scanR + w.fr - 1
 		if end > hi {
-			break // ragged suffix
+			break // ragged suffix: retry once the window reaches end
 		}
-		iter := Iteration(clock, fr)
-		if err := rc.checkIteration(h, r, end, iter, faulty); err != nil {
+		if err := w.checkTile(w.h, end, Iteration(clock, w.fr), w.faulty); err != nil {
 			return err
 		}
-		_ = p
-		r = end + 1
+		w.scanR = end + 1
 	}
 	return nil
 }
 
 // checkIteration validates the decisions recorded at the end of round
-// `end` for the iteration spanning rounds [start, end].
-func (rc RepeatedConsensus) checkIteration(h *history.History, start, end int, iter uint64, faulty proc.Set) error {
+// `end` for the iteration completing there.
+func (rc RepeatedConsensus) checkIteration(h *history.History, end int, iter uint64, faulty proc.Set) error {
 	var agreed *fullinfo.Value
 	var who proc.ID
 	for _, p := range h.AliveAt(end).Sorted() {
@@ -157,16 +188,16 @@ func (rc RepeatedConsensus) checkIteration(h *history.History, start, end int, i
 
 // referenceClock returns the clock of the lowest-numbered correct alive
 // process at round r.
-func referenceClock(h *history.History, r int, faulty proc.Set) (uint64, proc.ID, bool) {
+func referenceClock(h *history.History, r int, faulty proc.Set) (uint64, bool) {
 	for _, p := range h.AliveAt(r).Sorted() {
 		if faulty.Has(p) {
 			continue
 		}
 		if c, ok := h.ClockAt(r, p); ok {
-			return c, p, true
+			return c, true
 		}
 	}
-	return 0, proc.None, false
+	return 0, false
 }
 
 // RepeatedAgreement is the validity-free Σ⁺: Assumption 1 plus, per
@@ -182,38 +213,14 @@ var _ core.Problem = RepeatedAgreement{}
 // Name implements core.Problem.
 func (ra RepeatedAgreement) Name() string { return "repeated-agreement (Σ⁺, validity-free)" }
 
-// Check implements core.Problem.
-func (ra RepeatedAgreement) Check(h *history.History, lo, hi int, faulty proc.Set) error {
-	rc := RepeatedConsensus{FinalRound: ra.FinalRound}
-	if err := (core.RoundAgreement{}).Check(h, lo, hi, faulty); err != nil {
-		return err
-	}
-	r := lo
-	for r <= hi {
-		clock, _, ok := referenceClock(h, r, faulty)
-		if !ok {
-			r++
-			continue
-		}
-		if Normalize(clock, ra.FinalRound) != 1 {
-			r++
-			continue
-		}
-		end := r + ra.FinalRound - 1
-		if end > hi {
-			break
-		}
-		iter := Iteration(clock, ra.FinalRound)
-		if err := rc.checkAgreementOnly(h, end, iter, faulty); err != nil {
-			return err
-		}
-		r = end + 1
-	}
-	return nil
+// NewWindow implements core.Problem.
+func (ra RepeatedAgreement) NewWindow(h *history.History, lo int, faulty proc.Set) core.WindowChecker {
+	return newRepeatedWindow(h, lo, faulty, ra.FinalRound, ra.checkIteration)
 }
 
-// checkAgreementOnly is checkIteration without the validity clause.
-func (rc RepeatedConsensus) checkAgreementOnly(h *history.History, end int, iter uint64, faulty proc.Set) error {
+// checkIteration is RepeatedConsensus.checkIteration without the validity
+// clause.
+func (RepeatedAgreement) checkIteration(h *history.History, end int, iter uint64, faulty proc.Set) error {
 	var agreed *fullinfo.Value
 	var who proc.ID
 	for _, p := range h.AliveAt(end).Sorted() {
@@ -262,35 +269,9 @@ var _ core.Problem = RepeatedBroadcast{}
 // Name implements core.Problem.
 func (rb RepeatedBroadcast) Name() string { return "repeated-broadcast (Σ⁺)" }
 
-// Check implements core.Problem.
-func (rb RepeatedBroadcast) Check(h *history.History, lo, hi int, faulty proc.Set) error {
-	if err := (core.RoundAgreement{}).Check(h, lo, hi, faulty); err != nil {
-		return err
-	}
-	fr := rb.Protocol.FinalRound()
-
-	r := lo
-	for r <= hi {
-		clock, _, ok := referenceClock(h, r, faulty)
-		if !ok {
-			r++
-			continue
-		}
-		if Normalize(clock, fr) != 1 {
-			r++
-			continue
-		}
-		end := r + fr - 1
-		if end > hi {
-			break
-		}
-		iter := Iteration(clock, fr)
-		if err := rb.checkIteration(h, end, iter, faulty); err != nil {
-			return err
-		}
-		r = end + 1
-	}
-	return nil
+// NewWindow implements core.Problem.
+func (rb RepeatedBroadcast) NewWindow(h *history.History, lo int, faulty proc.Set) core.WindowChecker {
+	return newRepeatedWindow(h, lo, faulty, rb.Protocol.FinalRound(), rb.checkIteration)
 }
 
 func (rb RepeatedBroadcast) checkIteration(h *history.History, end int, iter uint64, faulty proc.Set) error {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ftss/internal/core"
+	"ftss/internal/core/coretest"
 	"ftss/internal/failure"
 	"ftss/internal/fullinfo"
 	"ftss/internal/history"
@@ -19,9 +20,49 @@ func errString(err error) string {
 	return err.Error()
 }
 
+// batchWindow is the test oracle for the Σ⁺ windows: the predicate in
+// batch form — a full Assumption 1 pass over [lo, hi], then a tile scan
+// from lo that re-derives every tile start — handed to the brute-force
+// Definition 2.4 oracle. It shares the per-tile checks with the product
+// (they are the specification's clauses) but none of repeatedWindow's
+// cursor logic.
+func batchWindow(sigma core.Problem) coretest.Window {
+	var fr int
+	var checkTile tileCheck
+	switch p := sigma.(type) {
+	case RepeatedConsensus:
+		fr, checkTile = p.FinalRound, p.checkIteration
+	case RepeatedAgreement:
+		fr, checkTile = p.FinalRound, p.checkIteration
+	case RepeatedBroadcast:
+		fr, checkTile = p.Protocol.FinalRound(), p.checkIteration
+	}
+	return func(h *history.History, lo, hi int, faulty proc.Set) error {
+		if err := core.Check(core.RoundAgreement{}, h, lo, hi, faulty); err != nil {
+			return err
+		}
+		for r := lo; r <= hi; {
+			clock, ok := referenceClock(h, r, faulty)
+			if !ok || Normalize(clock, fr) != 1 {
+				r++
+				continue
+			}
+			end := r + fr - 1
+			if end > hi {
+				break // ragged suffix
+			}
+			if err := checkTile(h, end, Iteration(clock, fr), faulty); err != nil {
+				return err
+			}
+			r = end + 1
+		}
+		return nil
+	}
+}
+
 // runDifferential replays a seeded chaotic compiled run round by round,
-// comparing every prefix's incremental verdict against the batch checker
-// for each (sigma, stab) pair.
+// comparing every prefix's incremental verdict against the brute-force
+// oracle over the batch predicate for each (sigma, stab) pair.
 func runDifferential(t *testing.T, ps []round.Process, n int, adv failure.Adversary,
 	rounds int, seed int64, sigmas []core.Problem, stabs []int) {
 	t.Helper()
@@ -51,9 +92,9 @@ func runDifferential(t *testing.T, ps []round.Process, n int, adv failure.Advers
 		i := 0
 		for _, sigma := range sigmas {
 			for _, stab := range stabs {
-				want := errString(core.CheckFTSS(h, sigma, stab))
+				want := errString(coretest.CheckFTSS(h, batchWindow(sigma), stab))
 				if got := errString(ics[i].Verdict()); got != want {
-					t.Fatalf("seed %d prefix %d sigma %q stab %d:\nincremental: %s\nbatch:       %s",
+					t.Fatalf("seed %d prefix %d sigma %q stab %d:\nincremental: %s\noracle:      %s",
 						seed, r, sigma.Name(), stab, got, want)
 				}
 				i++

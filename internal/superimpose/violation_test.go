@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ftss/internal/core"
 	"ftss/internal/fullinfo"
 	"ftss/internal/history"
 	"ftss/internal/proc"
@@ -62,36 +63,36 @@ func TestRepeatedConsensusViolationBranches(t *testing.T) {
 
 	// Missing decision at one correct process: termination violation.
 	h := runPuppets(good(0, 5), map[uint64]any{})
-	wantViolation(t, sigma.Check(h, 1, 2, proc.NewSet()), "no decision")
+	wantViolation(t, core.Check(sigma, h, 1, 2, proc.NewSet()), "no decision")
 
 	// Wrong iteration index.
 	h = runPuppets(good(0, 5), map[uint64]any{2: Decision{Iteration: 9, Value: 5, OK: true}})
-	wantViolation(t, sigma.Check(h, 1, 2, proc.NewSet()), "iteration")
+	wantViolation(t, core.Check(sigma, h, 1, 2, proc.NewSet()), "iteration")
 
 	// OK=false output.
 	h = runPuppets(good(0, 5), map[uint64]any{2: Decision{Iteration: 0, OK: false}})
-	wantViolation(t, sigma.Check(h, 1, 2, proc.NewSet()), "no output")
+	wantViolation(t, core.Check(sigma, h, 1, 2, proc.NewSet()), "no output")
 
 	// Decision split.
 	h = runPuppets(good(0, 5), good(0, 7))
-	wantViolation(t, sigma.Check(h, 1, 2, proc.NewSet()), "decided")
+	wantViolation(t, core.Check(sigma, h, 1, 2, proc.NewSet()), "decided")
 
 	// Invalid value (not an input).
 	h = runPuppets(good(0, 999), good(0, 999))
-	wantViolation(t, sigma.Check(h, 1, 2, proc.NewSet()), "no process's input")
+	wantViolation(t, core.Check(sigma, h, 1, 2, proc.NewSet()), "no process's input")
 
 	// Unanimity: all inputs equal but a different (valid-by-membership)
 	// value cannot occur with two distinct inputs; use equal inputs.
 	inEq := ConstantInputs([]fullinfo.Value{5, 5})
 	sigmaEq := RepeatedConsensus{FinalRound: 2, Inputs: inEq}
 	h = runPuppets(good(0, 5), good(0, 5))
-	if err := sigmaEq.Check(h, 1, 2, proc.NewSet()); err != nil {
+	if err := core.Check(sigmaEq, h, 1, 2, proc.NewSet()); err != nil {
 		t.Fatalf("clean unanimous tile rejected: %v", err)
 	}
 
 	// A window with no complete tile is trivially fine.
 	h = runPuppets(good(0, 5), good(0, 5))
-	if err := sigma.Check(h, 2, 2, proc.NewSet()); err != nil {
+	if err := core.Check(sigma, h, 2, 2, proc.NewSet()); err != nil {
 		t.Fatalf("ragged window rejected: %v", err)
 	}
 }
@@ -107,25 +108,25 @@ func TestRepeatedBroadcastViolationBranches(t *testing.T) {
 
 	// All delivered the initiator's value: fine.
 	h := runPuppets(good(42, true), good(42, true), good(42, true))
-	if err := sigma.Check(h, 1, 2, proc.NewSet()); err != nil {
+	if err := core.Check(sigma, h, 1, 2, proc.NewSet()); err != nil {
 		t.Fatalf("clean broadcast tile rejected: %v", err)
 	}
 
 	// Integrity: a delivery differing from the initiator's input.
 	h = runPuppets(good(42, true), good(13, true), good(42, true))
-	wantViolation(t, sigma.Check(h, 1, 2, proc.NewSet()), "integrity")
+	wantViolation(t, core.Check(sigma, h, 1, 2, proc.NewSet()), "integrity")
 
 	// Mixed delivered/undelivered: agreement violation.
 	h = runPuppets(good(42, true), good(0, false), good(42, true))
-	wantViolation(t, sigma.Check(h, 1, 2, proc.NewSet()), "delivered")
+	wantViolation(t, core.Check(sigma, h, 1, 2, proc.NewSet()), "delivered")
 
 	// Nobody delivered although the initiator is correct: validity.
 	h = runPuppets(good(0, false), good(0, false), good(0, false))
-	wantViolation(t, sigma.Check(h, 1, 2, proc.NewSet()), "validity")
+	wantViolation(t, core.Check(sigma, h, 1, 2, proc.NewSet()), "validity")
 
 	// Missing register: termination.
 	h = runPuppets(good(42, true), map[uint64]any{}, good(42, true))
-	wantViolation(t, sigma.Check(h, 1, 2, proc.NewSet()), "lacks")
+	wantViolation(t, core.Check(sigma, h, 1, 2, proc.NewSet()), "lacks")
 }
 
 func TestRepeatedAgreementViolationBranches(t *testing.T) {
@@ -134,13 +135,13 @@ func TestRepeatedAgreementViolationBranches(t *testing.T) {
 		return map[uint64]any{2: Decision{Iteration: 0, Value: v, OK: true}}
 	}
 	h := runPuppets(good(9), good(9))
-	if err := sigma.Check(h, 1, 2, proc.NewSet()); err != nil {
+	if err := core.Check(sigma, h, 1, 2, proc.NewSet()); err != nil {
 		t.Fatalf("clean tile rejected: %v", err)
 	}
 	h = runPuppets(good(9), good(8))
-	wantViolation(t, sigma.Check(h, 1, 2, proc.NewSet()), "decided")
+	wantViolation(t, core.Check(sigma, h, 1, 2, proc.NewSet()), "decided")
 	h = runPuppets(good(9), map[uint64]any{})
-	wantViolation(t, sigma.Check(h, 1, 2, proc.NewSet()), "lacks")
+	wantViolation(t, core.Check(sigma, h, 1, 2, proc.NewSet()), "lacks")
 }
 
 // TestRepeatedConsensusSkipsFaultyOnlyRounds: with every process faulty
@@ -149,7 +150,7 @@ func TestRepeatedConsensusSkipsFaultyOnlyRounds(t *testing.T) {
 	in := ConstantInputs([]fullinfo.Value{5, 7})
 	sigma := RepeatedConsensus{FinalRound: 2, Inputs: in}
 	h := runPuppets(map[uint64]any{}, map[uint64]any{})
-	if err := sigma.Check(h, 1, 4, proc.NewSet(0, 1)); err != nil {
+	if err := core.Check(sigma, h, 1, 4, proc.NewSet(0, 1)); err != nil {
 		t.Fatalf("all-faulty window should be vacuous: %v", err)
 	}
 }

@@ -15,30 +15,29 @@ import (
 // round numbers — the deterministic clocks of the history — so a seeded
 // run replays to an identical stream.
 //
-// The returned error is the first per-segment violation, mirroring
-// core.CheckFTSS (which evaluates the identical windows).
+// The returned error is the first per-segment violation, or
+// core.CheckFTSS's rejection of stab < 1, in which case nothing is
+// emitted.
 func Events(sink obs.Sink, h *history.History, sigma core.Problem, stab int) error {
-	if stab >= 1 {
-		return EventsFrom(sink, core.EvalIncremental(h, sigma, stab))
-	}
-	// Degenerate budgets (< 1, which CheckFTSS rejects) keep the legacy
-	// clamped-window reading for stream compatibility.
-	return eventsLegacy(sink, h, sigma, stab)
+	ic := core.EvalIncremental(h, sigma, stab)
+	return EventsFrom(sink, ic, ic.Measure())
 }
 
 // EventsFrom renders the event stream from an incremental checker's
-// accumulated per-segment verdicts instead of re-evaluating every window:
-// emitting the stream costs O(segments), so progressive harnesses can
-// publish it repeatedly as the history grows. The stream and returned
-// error are byte-identical to Events on the same history.
-func EventsFrom(sink obs.Sink, ic *core.IncrementalChecker) error {
+// accumulated per-segment verdicts and a measurement already taken from
+// it: emitting the stream costs O(segments) and evaluates no window, so
+// progressive harnesses can publish it repeatedly as the history grows.
+func EventsFrom(sink obs.Sink, ic *core.IncrementalChecker, m core.StabilizationMeasurement) error {
+	if ic.Stab() < 1 {
+		return ic.Verdict()
+	}
 	h := ic.History()
 	for _, r := range h.DestabilizingRounds() {
 		sink.Emit(obs.Event{Kind: "coterie_change", T: uint64(r), P: -1,
 			Fields: []obs.KV{{K: "coterie", V: int64(h.CoterieAtView(r).Len())}}})
 	}
-	for _, m := range h.SystemicFailureMarks() {
-		sink.Emit(obs.Event{Kind: "systemic", T: uint64(m), P: -1})
+	for _, mark := range h.SystemicFailureMarks() {
+		sink.Emit(obs.Event{Kind: "systemic", T: uint64(mark), P: -1})
 	}
 
 	var firstErr error
@@ -50,43 +49,7 @@ func EventsFrom(sink obs.Sink, ic *core.IncrementalChecker) error {
 		emitSegmentClose(sink, seg.Start, seg.End, seg.Err)
 	}
 
-	emitVerdict(sink, h.Len(), ic.Problem().Name(), ic.Stab(), firstErr == nil, ic.Measure())
-	return firstErr
-}
-
-// eventsLegacy is the original batch evaluation, retained for stab < 1.
-func eventsLegacy(sink obs.Sink, h *history.History, sigma core.Problem, stab int) error {
-	for _, r := range h.DestabilizingRounds() {
-		sink.Emit(obs.Event{Kind: "coterie_change", T: uint64(r), P: -1,
-			Fields: []obs.KV{{K: "coterie", V: int64(h.CoterieAtView(r).Len())}}})
-	}
-	for _, m := range h.SystemicFailureMarks() {
-		sink.Emit(obs.Event{Kind: "systemic", T: uint64(m), P: -1})
-	}
-
-	var firstErr error
-	for _, seg := range h.StableSegments() {
-		emitSegmentOpen(sink, seg.Start, seg.End, seg.Coterie.Len())
-		// The same windows CheckFTSS enforces, restricted to this segment.
-		segErr := func() error {
-			lo := seg.Start + stab
-			if lo < 1 {
-				lo = 1
-			}
-			for b := lo; b <= seg.End; b++ {
-				if err := sigma.Check(h, lo, b, h.FaultyUpToView(b)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}()
-		if segErr != nil && firstErr == nil {
-			firstErr = segErr
-		}
-		emitSegmentClose(sink, seg.Start, seg.End, segErr)
-	}
-
-	emitVerdict(sink, h.Len(), sigma.Name(), stab, firstErr == nil, core.MeasureStabilization(h, sigma))
+	emitVerdict(sink, h.Len(), ic.Problem().Name(), ic.Stab(), firstErr == nil, m)
 	return firstErr
 }
 

@@ -102,16 +102,14 @@ func Segments(w io.Writer, h *history.History) {
 }
 
 // Verdict writes the Definition 2.4 verdict and the measured stabilization
-// for the final stable segment. The one-shot streaming evaluation lands on
-// the same verdict as core.CheckFTSS, byte for byte.
+// for the final stable segment; the returned error is core.CheckFTSS's.
 func Verdict(w io.Writer, h *history.History, sigma core.Problem, stab int) error {
 	return VerdictFrom(w, core.EvalIncremental(h, sigma, stab))
 }
 
 // VerdictFrom writes the verdict accumulated by an incremental checker —
 // for harnesses that keep a checker attached to a growing history and
-// report progressively without re-evaluating windows. The output is
-// byte-identical to Verdict on the same history.
+// report progressively without re-evaluating windows.
 func VerdictFrom(w io.Writer, ic *core.IncrementalChecker) error {
 	err := ic.Verdict()
 	if err == nil {

@@ -116,8 +116,8 @@ func TestVerdictSatisfied(t *testing.T) {
 func TestVerdictViolated(t *testing.T) {
 	h, _, _ := compiledHistory(t)
 	var sb strings.Builder
-	always := core.Func{ProblemName: "never", CheckFunc: func(*history.History, int, int, proc.Set) error {
-		return &core.Violation{Problem: "never", Round: 1, Detail: "by construction"}
+	always := core.Func{ProblemName: "never", Round: func(_ *history.History, r int, _ proc.Set) error {
+		return &core.Violation{Problem: "never", Round: r, Detail: "by construction"}
 	}}
 	if err := Verdict(&sb, h, always, 1); err == nil {
 		t.Fatal("expected an error")
@@ -194,13 +194,30 @@ func TestEvents(t *testing.T) {
 	// A violated Σ must close at least one segment with ok:0 and return
 	// the violation.
 	buf.Reset()
-	never := core.Func{ProblemName: "never", CheckFunc: func(*history.History, int, int, proc.Set) error {
-		return &core.Violation{Problem: "never", Round: 1, Detail: "by construction"}
+	never := core.Func{ProblemName: "never", Round: func(_ *history.History, r int, _ proc.Set) error {
+		return &core.Violation{Problem: "never", Round: r, Detail: "by construction"}
 	}}
 	if err := Events(sink, h, never, 1); err == nil {
 		t.Fatal("expected a violation")
 	}
 	if out := buf.String(); !strings.Contains(out, `"ok":0`) {
 		t.Errorf("violated run missing ok:0 close:\n%s", out)
+	}
+}
+
+// TestEventsRejectsBadStab: stab < 1 is rejected with CheckFTSS's error
+// and nothing reaches the stream.
+func TestEventsRejectsBadStab(t *testing.T) {
+	h, sigma, _ := compiledHistory(t)
+	for _, stab := range []int{0, -3} {
+		var buf bytes.Buffer
+		err := Events(obs.NewJSONL(&buf), h, sigma, stab)
+		want := core.CheckFTSS(h, sigma, stab)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("stab %d: Events error %v, want CheckFTSS's %v", stab, err, want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("stab %d: rejected budget still emitted:\n%s", stab, buf.String())
+		}
 	}
 }
