@@ -17,7 +17,7 @@
 //
 //	ftss-cluster [-n 4] [-seed 1] [-episodes 3] [-episode-len 150ms]
 //	             [-quiet-len 350ms] [-tick 1ms] [-cap 1024] [-poll 10ms]
-//	             [-dir DIR] [-node PATH] [-admin ADDR]
+//	             [-dir DIR] [-node PATH] [-admin ADDR] [-pprof ADDR]
 //
 // -admin serves the launcher's live telemetry plane: /metrics counts
 // boots/kills and the nodes-up gauge, /healthz lists per-node up/down
@@ -35,8 +35,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
-	_ "net/http/pprof" // registered on the opt-in -pprof listener only
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -46,7 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"ftss/internal/admin"
 	"ftss/internal/chaos"
 	"ftss/internal/cli"
 	"ftss/internal/cluster"
@@ -75,7 +72,7 @@ type params struct {
 	nodeBin    string
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("ftss-cluster", flag.ContinueOnError)
 	var p params
 	fs.IntVar(&p.n, "n", 4, "cluster size (one OS process per node)")
@@ -88,30 +85,23 @@ func run(args []string) error {
 	fs.DurationVar(&p.poll, "poll", 10*time.Millisecond, "decision-register poll interval")
 	fs.StringVar(&p.dir, "dir", "", "artifact directory (default: fresh temp dir)")
 	fs.StringVar(&p.nodeBin, "node", "", "path to the ftss-node binary (default: beside this binary, then $PATH)")
-	adminAddr := fs.String("admin", "", "serve the admin plane (/metrics, /healthz, /events) on this address")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	tel := cli.Bind(fs, cli.Admin|cli.Pprof)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ftss-cluster: pprof:", err)
-			}
-		}()
-		fmt.Printf("pprof listening on %s\n", *pprofAddr)
 	}
 	if p.n < 3 {
 		return fmt.Errorf("need n ≥ 3, got %d", p.n)
 	}
+	if err := tel.Open(os.Stdout); err != nil {
+		return err
+	}
+	defer func() { err = tel.Close(err) }()
 	if p.nodeBin == "" {
-		var err error
 		if p.nodeBin, err = findNodeBin(); err != nil {
 			return err
 		}
 	}
 	if p.dir == "" {
-		var err error
 		if p.dir, err = os.MkdirTemp("", "ftss-cluster-"); err != nil {
 			return err
 		}
@@ -130,24 +120,13 @@ func run(args []string) error {
 		p.seed, p.n, plan.Horizon(), p.dir)
 	fmt.Print(plan)
 
-	l, err := newLauncher(p)
+	l, err := newLauncher(p, obs.Tee(tel.Sink()))
 	if err != nil {
 		return err
 	}
 	defer l.closeLogs()
-	if *adminAddr != "" {
-		tail := admin.NewTail(0)
-		l.sink = obs.NewJSONL(tail)
-		adm, err := admin.Start(*adminAddr, admin.Plane{
-			Metrics: l.reg.Snapshot,
-			Health:  l.status,
-			Tail:    tail,
-		})
-		if err != nil {
-			return err
-		}
-		defer adm.Close()
-		fmt.Printf("admin plane on %s\n", adm.Addr())
+	if err := tel.Serve("", l.reg.Snapshot, l.status); err != nil {
+		return err
 	}
 	for i := 0; i < p.n; i++ {
 		if err := l.start(proc.ID(i), 0, false); err != nil {
@@ -206,10 +185,10 @@ type launcher struct {
 	bootsC *obs.Counter
 }
 
-func newLauncher(p params) (*launcher, error) {
+func newLauncher(p params, sink obs.Sink) (*launcher, error) {
 	l := &launcher{p: p, addrs: make([]string, p.n),
 		logs: make([]*os.File, p.n), kids: make([]*child, p.n),
-		reg: obs.NewRegistry(), sink: obs.Null{}}
+		reg: obs.NewRegistry(), sink: sink}
 	l.upG = l.reg.Gauge("cluster.nodes_up")
 	l.killsC = l.reg.Counter("cluster.kills")
 	l.bootsC = l.reg.Counter("cluster.boots")

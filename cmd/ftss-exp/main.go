@@ -19,6 +19,7 @@ import (
 	"os"
 	"strings"
 
+	"ftss/internal/cli"
 	"ftss/internal/experiment"
 	"ftss/internal/obs"
 )
@@ -30,7 +31,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("ftss-exp", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment to run: all, or one of E1..E15")
 	seed := fs.Int64("seed", 0, "base seed; repetitions use seed+1..seed+seeds")
@@ -41,23 +42,23 @@ func run(args []string) error {
 		"Tables are byte-identical for any value, so -workers 1 exactly "+
 		"reproduces the committed EXPERIMENTS.md tables")
 	markdown := fs.Bool("markdown", false, "emit GitHub-flavored markdown instead of aligned text")
-	metricsFile := fs.String("metrics", "", "write the telemetry snapshot to this file (byte-identical for any -workers)")
-	eventsFile := fs.String("events", "", "write the structured JSONL event stream to this file (byte-identical for any -workers)")
+	// Both files are byte-identical for any -workers.
+	tel := cli.Bind(fs, cli.Metrics|cli.Events)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	cfg := experiment.Config{Seeds: *seeds, Rounds: *rounds, HorizonMS: *horizon, BaseSeed: *seed, Workers: *workers}
-	if *metricsFile != "" {
-		cfg.Metrics = obs.NewRegistry()
+	if err := tel.Open(os.Stdout); err != nil {
+		return err
 	}
-	if *eventsFile != "" {
-		ef, err := os.Create(*eventsFile)
-		if err != nil {
+	defer func() { err = tel.Close(err) }()
+
+	cfg := experiment.Config{Seeds: *seeds, Rounds: *rounds, HorizonMS: *horizon, BaseSeed: *seed, Workers: *workers,
+		Events: tel.Sink()}
+	if tel.HasMetrics() {
+		cfg.Metrics = obs.NewRegistry()
+		if err := tel.Serve("", cfg.Metrics.Snapshot, nil); err != nil {
 			return err
 		}
-		defer ef.Close()
-		cfg.Events = obs.NewJSONL(ef)
 	}
 	fmt.Printf("ftss-exp: effective seeds %d..%d\n", cfg.BaseSeed+1, cfg.BaseSeed+int64(cfg.Seeds))
 	runners := map[string]func(experiment.Config) *experiment.Table{
@@ -95,19 +96,6 @@ func run(args []string) error {
 			fmt.Print(t.Markdown())
 		} else {
 			t.Render(os.Stdout)
-		}
-	}
-	if *metricsFile != "" {
-		mf, err := os.Create(*metricsFile)
-		if err != nil {
-			return err
-		}
-		if _, err := cfg.Metrics.WriteTo(mf); err != nil {
-			mf.Close()
-			return err
-		}
-		if err := mf.Close(); err != nil {
-			return err
 		}
 	}
 	return nil

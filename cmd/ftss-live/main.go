@@ -11,18 +11,14 @@
 //	          [-metrics FILE] [-events FILE] [-pprof ADDR]
 //
 // -metrics/-events capture the runtime's telemetry (traffic counters,
-// mailbox high-water, supervision events stamped with elapsed µs).
-// -pprof serves net/http/pprof on ADDR (e.g. localhost:6060) for the
-// duration of the run — the live runtime is wall-clock anyway, so the
-// profiler's observer effect costs nothing the model cares about.
+// mailbox high-water, supervision events stamped with elapsed µs). The
+// shared telemetry flags are internal/cli's session (DESIGN.md §8).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"time"
 
@@ -42,7 +38,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("ftss-live", flag.ContinueOnError)
 	n := fs.Int("n", 5, "number of processes (goroutines)")
 	crashes := fs.Int("crashes", 2, "processes that crash (< n/2)")
@@ -50,23 +46,19 @@ func run(args []string) error {
 	deadline := fs.Duration("deadline", 5*time.Second, "wall-clock budget")
 	tick := fs.Duration("tick", 300*time.Microsecond, "tick interval per process")
 	seed := fs.Int64("seed", 1, "seed for inputs, corruption, and delays")
-	metricsFile := fs.String("metrics", "", "write the telemetry snapshot to this file")
-	eventsFile := fs.String("events", "", "write the structured JSONL event stream to this file")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	tel := cli.Bind(fs, cli.Metrics|cli.Events|cli.Pprof)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ftss-live: pprof:", err)
-			}
-		}()
-		fmt.Printf("pprof listening on %s\n", *pprofAddr)
 	}
 	if *crashes >= (*n+1)/2 {
 		return fmt.Errorf("need crashes < n/2, got n=%d crashes=%d", *n, *crashes)
 	}
+	// Graceful on every path: the snapshot and event stream still land
+	// on disk when the run is interrupted or misses its deadline.
+	if err := tel.Open(os.Stdout); err != nil {
+		return err
+	}
+	defer func() { err = tel.Close(err) }()
 	fmt.Printf("ftss-live: effective seed %d\n", *seed)
 
 	crashAtVirtual := map[proc.ID]async.Time{}
@@ -98,14 +90,8 @@ func run(args []string) error {
 	}
 
 	reg := obs.NewRegistry()
-	var sink obs.Sink
-	if *eventsFile != "" {
-		ef, err := os.Create(*eventsFile)
-		if err != nil {
-			return err
-		}
-		defer ef.Close()
-		sink = obs.NewJSONL(ef)
+	if err := tel.Serve("", reg.Snapshot, nil); err != nil {
+		return err
 	}
 	rt := live.MustNew(aps, live.Config{
 		Seed:       *seed,
@@ -113,27 +99,12 @@ func run(args []string) error {
 		MinDelay:   100 * time.Microsecond,
 		MaxDelay:   500 * time.Microsecond,
 		CrashAfter: crashAfter,
-		Obs:        live.NewInstruments(reg, "live", sink),
+		Obs:        live.NewInstruments(reg, "live", tel.Sink()),
 	})
 	fmt.Printf("live cluster: %d goroutines, inputs %v, crash schedule %v, corrupted=%v\n",
 		*n, inputs, crashAfter, *corrupt)
 	rt.Start()
 	defer rt.Stop()
-	writeMetrics := func() error {
-		if *metricsFile == "" {
-			return nil
-		}
-		mf, err := os.Create(*metricsFile)
-		if err != nil {
-			return err
-		}
-		if _, err := reg.WriteTo(mf); err != nil {
-			mf.Close()
-			return err
-		}
-		return mf.Close()
-	}
-
 	stop := cli.Shutdown("ftss-live")
 	start := time.Now()
 	var stableSince time.Time
@@ -141,12 +112,8 @@ func run(args []string) error {
 	for time.Since(start) < *deadline {
 		select {
 		case <-stop:
-			// Graceful: the snapshot and event stream still land on disk.
 			fmt.Printf("interrupted after %v\n", time.Since(start).Round(time.Millisecond))
 			fmt.Println(rt.Health())
-			if err := writeMetrics(); err != nil {
-				return err
-			}
 			return fmt.Errorf("interrupted before stable agreement")
 		case <-time.After(5 * time.Millisecond):
 		}
@@ -184,15 +151,12 @@ func run(args []string) error {
 					vals[0], time.Since(start).Round(time.Millisecond))
 				fmt.Printf("crashed along the way: %v\n", rt.Crashed())
 				fmt.Println(rt.Health())
-				return writeMetrics()
+				return nil
 			}
 		} else {
 			stableSince = time.Time{}
 		}
 		lastVals = vals
-	}
-	if err := writeMetrics(); err != nil {
-		return err
 	}
 	return fmt.Errorf("no stable agreement within %v", *deadline)
 }

@@ -36,12 +36,11 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"net/http"
-	_ "net/http/pprof" // registered on the opt-in -pprof listener only
 	"os"
 	"sync"
 	"time"
 
+	"ftss/internal/cli"
 	"ftss/internal/obs"
 	"ftss/internal/wire"
 )
@@ -61,7 +60,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("ftss-loadgen", flag.ContinueOnError)
 	addr := fs.String("addr", "", "ftss-store server address (required)")
 	clients := fs.Int("clients", 4, "concurrent closed-loop connections")
@@ -69,9 +68,8 @@ func run(args []string, out io.Writer) error {
 	keys := fs.Int("keys", 64, "distinct keys in the workload")
 	skew := fs.Float64("skew", 0, "Zipf skew exponent; <=1 means uniform keys")
 	seed := fs.Int64("seed", 1, "workload seed; key streams derive from (seed, client)")
-	metricsFile := fs.String("metrics", "", "write the metrics snapshot to this file")
 	traceFile := fs.String("trace", "", "trace every op and write client.rtt span JSONL to this file")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061)")
+	tel := cli.Bind(fs, cli.Metrics|cli.Pprof)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -81,14 +79,10 @@ func run(args []string, out io.Writer) error {
 	if *clients <= 0 || *ops <= 0 || *keys <= 0 {
 		return fmt.Errorf("-clients, -ops, and -keys must be positive")
 	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ftss-loadgen: pprof:", err)
-			}
-		}()
-		fmt.Fprintf(out, "pprof listening on %s\n", *pprofAddr)
+	if err := tel.Open(out); err != nil {
+		return err
 	}
+	defer func() { err = tel.Close(err) }()
 
 	reg := obs.NewRegistry()
 	opsC := reg.Counter("loadgen.ops")
@@ -96,6 +90,9 @@ func run(args []string, out io.Writer) error {
 	missC := reg.Counter("loadgen.cas_mismatch")
 	errsC := reg.Counter("loadgen.errors")
 	latH := reg.Histogram("loadgen.latency_us", wallBounds)
+	if err := tel.Serve("", reg.Snapshot, nil); err != nil {
+		return err
+	}
 	var col *obs.Collector
 	if *traceFile != "" {
 		col = obs.NewCollector()
@@ -116,11 +113,6 @@ func run(args []string, out io.Writer) error {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	if *metricsFile != "" {
-		if err := os.WriteFile(*metricsFile, reg.Snapshot(), 0o644); err != nil {
-			return err
-		}
-	}
 	if col != nil {
 		tf, err := os.Create(*traceFile)
 		if err != nil {

@@ -86,6 +86,25 @@ func TestLoadgenFlagValidation(t *testing.T) {
 	}
 }
 
+// TestPprofTakenPortFailsStartup: -pprof on an address already in use is
+// a start-up error with no "listening" banner, not a false banner and a
+// stderr line mid-run.
+func TestPprofTakenPortFailsStartup(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var out bytes.Buffer
+	err = run([]string{"-addr", "127.0.0.1:1", "-pprof", ln.Addr().String()}, &out)
+	if err == nil || !strings.Contains(err.Error(), "pprof") {
+		t.Errorf("run = %v, want the pprof bind error", err)
+	}
+	if strings.Contains(out.String(), "pprof listening") {
+		t.Errorf("banner printed for a listener that never bound:\n%s", out.String())
+	}
+}
+
 // TestLoadgenTraceStitchesToServer runs a traced loadgen against a
 // traced store: the client trace file holds one client.rtt span per op
 // with zero collisions, and every server-side op span's parent is a

@@ -16,7 +16,7 @@
 //	          [-seed 1] [-episodes 3] [-episode-len 150ms] [-quiet-len 350ms]
 //	          [-tick 1ms] [-cap 1024] [-poll 10ms] [-since 0] [-corrupt]
 //	          [-metrics FILE] [-events FILE] [-chaos-events FILE]
-//	          [-admin ADDR]
+//	          [-admin ADDR] [-pprof ADDR]
 //
 // -admin serves the live telemetry plane while the node runs: /metrics
 // is the registry snapshot, /healthz the runtime health plus decision
@@ -35,8 +35,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // registered on the opt-in -pprof listener only
 	"os"
 	"strconv"
 	"strings"
@@ -55,7 +53,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("ftss-node", flag.ContinueOnError)
 	id := fs.Int("id", 0, "this node's process ID, in 0..n-1")
 	n := fs.Int("n", 4, "cluster size")
@@ -70,23 +68,14 @@ func run(args []string) error {
 	poll := fs.Duration("poll", 10*time.Millisecond, "decision-register poll interval (cluster-wide grid)")
 	since := fs.Duration("since", 0, "schedule offset this incarnation starts at (restarts)")
 	corrupt := fs.Bool("corrupt", false, "corrupt the process state before running (restart from garbage)")
-	metricsFile := fs.String("metrics", "", "write the final telemetry snapshot to this file")
-	eventsFile := fs.String("events", "", "append the JSONL event stream (node_poll records) to this file")
 	chaosFile := fs.String("chaos-events", "", "append the deterministic chaos schedule stream to this file")
-	adminAddr := fs.String("admin", "", "serve the admin plane (/metrics, /healthz, /events) on this address")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	// Both event streams append, so a restarted incarnation extends the
+	// files its predecessor left behind; the -metrics snapshot is the
+	// latest incarnation's.
+	tel := cli.Bind(fs, cli.Metrics|cli.EventsAppend|cli.Admin|cli.Pprof)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ftss-node: pprof:", err)
-			}
-		}()
-		fmt.Printf("pprof listening on %s\n", *pprofAddr)
-	}
-
 	peerMap, err := parsePeers(*peers, proc.ID(*id), *n)
 	if err != nil {
 		return err
@@ -97,39 +86,20 @@ func run(args []string) error {
 		Episodes: *episodes, EpisodeLen: *episodeLen, QuietLen: *quietLen,
 		Tick: *tick, MailboxCap: *mailboxCap, PollEvery: *poll,
 		Since: *since, Corrupt: *corrupt,
-		AdminAddr: *adminAddr,
 	}
-	// Event streams append so a restarted incarnation extends the files
-	// its predecessor left behind.
-	for _, f := range []struct {
-		path string
-		sink *obs.Sink
-	}{
-		{*eventsFile, &cfg.Events},
-		{*chaosFile, &cfg.ChaosEvents},
-	} {
-		if f.path == "" {
-			continue
-		}
-		w, err := os.OpenFile(f.path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if *chaosFile != "" {
+		cf, err := os.OpenFile(*chaosFile, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
 			return err
 		}
-		defer w.Close()
-		*f.sink = obs.NewJSONL(w)
+		defer cf.Close()
+		cfg.ChaosEvents = obs.NewJSONL(cf)
 	}
-	if *metricsFile != "" {
-		// The snapshot is small and written once at exit; the latest
-		// incarnation's snapshot is the one that matters.
-		mf, err := os.Create(*metricsFile)
-		if err != nil {
-			return err
-		}
-		defer mf.Close()
-		cfg.Metrics = mf
+	if err := tel.Open(os.Stdout); err != nil {
+		return err
 	}
-
-	return cluster.RunNode(cfg, cli.Shutdown("ftss-node"), os.Stdout)
+	defer func() { err = tel.Close(err) }()
+	return cluster.RunNode(cfg, tel, cli.Shutdown("ftss-node"), os.Stdout)
 }
 
 // parsePeers parses "1=127.0.0.1:7001,2=..." into an ID→address map and

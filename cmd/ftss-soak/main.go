@@ -35,7 +35,8 @@
 // nemesis events stamped with elapsed µs, recorder polls/marks stamped
 // with poll counts, and the final Definition 2.4 segment/verdict events.
 // With -runs R each run's events are buffered and concatenated in seed
-// order, matching the report. -pprof serves net/http/pprof on ADDR.
+// order, matching the report. The shared telemetry flags are
+// internal/cli's session (DESIGN.md §8).
 package main
 
 import (
@@ -45,11 +46,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"ftss/internal/chaos"
@@ -58,6 +56,7 @@ import (
 	"ftss/internal/ctcons"
 	"ftss/internal/detector"
 	"ftss/internal/obs"
+	"ftss/internal/pool"
 	"ftss/internal/proc"
 	"ftss/internal/sim/async"
 	"ftss/internal/sim/live"
@@ -81,14 +80,14 @@ func buildPlan(seed int64, n, episodes int, episodeLen, quietLen time.Duration) 
 	})
 }
 
-// soakParams is one soak run's full configuration. reg and sink are nil
-// when telemetry is off; with -runs, reg is shared (counters aggregate
-// across runs) while each run gets its own buffered sink.
 // errInterrupted marks a run cut short by SIGINT/SIGTERM: its partial
 // trace was still judged and its telemetry still flushed, but the run is
 // not a pass.
 var errInterrupted = errors.New("interrupted")
 
+// soakParams is one soak run's full configuration. reg and sink are nil
+// when telemetry is off; with -runs, reg is shared (counters aggregate
+// across runs) while each run gets its own buffered sink.
 type soakParams struct {
 	seed       int64
 	n          int
@@ -102,7 +101,7 @@ type soakParams struct {
 	stop       <-chan struct{}
 }
 
-func run(args []string, w io.Writer) error {
+func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("ftss-soak", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "seed for the fault schedule, inputs, and delays")
 	n := fs.Int("n", 5, "processes per cluster")
@@ -114,162 +113,62 @@ func run(args []string, w io.Writer) error {
 	runs := fs.Int("runs", 1, "independent soak runs on seeds seed..seed+runs-1")
 	workers := fs.Int("workers", 0, "runs executed concurrently; 0 = GOMAXPROCS. "+
 		"Output is merged in seed order, byte-identical to a sequential run")
-	metricsFile := fs.String("metrics", "", "write the aggregated telemetry snapshot to this file")
-	metricsInterval := fs.Duration("metrics-interval", 0,
-		"stream periodic metric delta blocks to the -metrics file + \".deltas\" (0 = off)")
-	eventsFile := fs.String("events", "", "write the structured JSONL event stream to this file")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	tel := cli.Bind(fs, cli.Metrics|cli.MetricsInterval|cli.Events|cli.Pprof)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *metricsInterval > 0 && *metricsFile == "" {
-		return fmt.Errorf("-metrics-interval needs -metrics FILE for the delta stream path")
-	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ftss-soak: pprof:", err)
-			}
-		}()
-		fmt.Fprintf(w, "pprof listening on %s\n", *pprofAddr)
 	}
 	if *n < 3 {
 		return fmt.Errorf("need n ≥ 3 for a crash-tolerant majority, got %d", *n)
 	}
+	if err := tel.Open(w); err != nil {
+		return err
+	}
+	defer func() { err = tel.Close(err) }()
 	p := soakParams{
 		seed: *seed, n: *n, episodes: *episodes,
 		episodeLen: *episodeLen, quietLen: *quietLen,
 		tick: *tick, cap: *cap,
 		stop: cli.Shutdown("ftss-soak"),
 	}
-	if *metricsFile != "" || *eventsFile != "" {
+	if tel.HasMetrics() || tel.Sink() != nil {
+		// One registry shared by every run; the session streams its deltas
+		// and writes its exit snapshot, also from a failing soak.
 		p.reg = obs.NewRegistry()
-	}
-	var eventsW io.Writer
-	if *eventsFile != "" {
-		ef, err := os.Create(*eventsFile)
-		if err != nil {
-			return err
-		}
-		defer ef.Close()
-		eventsW = ef
-	}
-
-	// Periodic delta stream: "# delta" blocks against the shared registry
-	// while the soak runs, a final block once it stops. SnapshotSum over
-	// the blocks equals the exit snapshot, which the tests pin.
-	stopDeltas := func() error { return nil }
-	if *metricsInterval > 0 {
-		df, err := os.Create(*metricsFile + ".deltas")
-		if err != nil {
-			return err
-		}
-		dw := obs.NewDeltaWriter(df, p.reg.Snapshot)
-		done := make(chan struct{})
-		ticker := time.NewTicker(*metricsInterval)
-		go func() {
-			for {
-				select {
-				case <-ticker.C:
-					dw.Tick()
-				case <-done:
-					return
-				}
-			}
-		}()
-		stopDeltas = func() error {
-			ticker.Stop()
-			close(done)
-			err := dw.Tick()
-			if cerr := df.Close(); err == nil {
-				err = cerr
-			}
+		if err := tel.Serve("", p.reg.Snapshot, nil); err != nil {
 			return err
 		}
 	}
-
-	var runErr error
 	if *runs <= 1 {
-		if p.reg != nil {
-			p.sink = obs.Sink(obs.Null{})
-			if eventsW != nil {
-				p.sink = obs.NewJSONL(eventsW)
-			}
-		}
-		runErr = soak(p, w)
-	} else {
-		runErr = soakMany(p, *runs, *workers, w, eventsW)
+		p.sink = tel.Sink()
+		return soak(p, w)
 	}
-
-	if err := stopDeltas(); err != nil && runErr == nil {
-		runErr = err
-	}
-	// The snapshot is written even when checks failed: a failing soak's
-	// telemetry is exactly what CI wants to keep.
-	if *metricsFile != "" {
-		mf, err := os.Create(*metricsFile)
-		if err == nil {
-			_, err = p.reg.WriteTo(mf)
-			if cerr := mf.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	return runErr
+	return soakMany(p, *runs, *workers, w, tel.EventsWriter())
 }
 
-// soakMany stages `runs` independent soaks on consecutive seeds across a
-// bounded worker pool, buffering each run's report — and, when telemetry
-// is on, its event stream — and emitting both in seed order.
+// soakMany stages `runs` independent soaks on consecutive seeds across
+// the bounded worker pool, buffering each run's report — and, when
+// eventsW is set, its event stream — and emitting both in seed order.
 func soakMany(p soakParams, runs, workers int, w io.Writer, eventsW io.Writer) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > runs {
-		workers = runs
-	}
 	outs := make([]bytes.Buffer, runs)
 	evs := make([]bytes.Buffer, runs)
-	errs := make([]error, runs)
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= runs {
-					return
-				}
-				if p.stop != nil {
-					select {
-					case <-p.stop:
-						return // leave the claimed run unstarted
-					default:
-					}
-				}
-				pi := p
-				pi.seed = p.seed + int64(i)
-				if pi.reg != nil {
-					pi.sink = obs.Sink(obs.Null{})
-					if eventsW != nil {
-						pi.sink = obs.NewJSONL(&evs[i])
-					}
-				}
-				errs[i] = soak(pi, &outs[i])
-			}
-		}()
-	}
-	wg.Wait()
+	errs := pool.Run(workers, runs, func(i int) error {
+		select {
+		case <-p.stop:
+			return nil // interrupted: leave the claimed run unstarted
+		default:
+		}
+		pi := p
+		pi.seed = p.seed + int64(i)
+		if eventsW != nil {
+			pi.sink = obs.NewJSONL(&evs[i])
+		}
+		return soak(pi, &outs[i])
+	})
 
+	var evErr error
 	failed, stopped, printed := 0, 0, 0
 	for i := 0; i < runs; i++ {
 		if outs[i].Len() == 0 {
@@ -281,8 +180,8 @@ func soakMany(p soakParams, runs, workers int, w io.Writer, eventsW io.Writer) e
 		}
 		printed++
 		w.Write(outs[i].Bytes())
-		if eventsW != nil {
-			eventsW.Write(evs[i].Bytes())
+		if eventsW != nil && evErr == nil {
+			_, evErr = eventsW.Write(evs[i].Bytes())
 		}
 		switch {
 		case errors.Is(errs[i], errInterrupted):
@@ -298,6 +197,9 @@ func soakMany(p soakParams, runs, workers int, w io.Writer, eventsW io.Writer) e
 	if stopped > 0 {
 		fmt.Fprintf(w, "\ninterrupted: %d of %d run(s) completed cleanly\n", runs-stopped, runs)
 		return errInterrupted
+	}
+	if evErr != nil {
+		return fmt.Errorf("event stream: %w", evErr)
 	}
 	fmt.Fprintf(w, "\nall %d soak runs passed (seeds %d..%d)\n", runs, p.seed, p.seed+int64(runs)-1)
 	return nil
@@ -407,12 +309,10 @@ func soak(p soakParams, w io.Writer) error {
 		if elapsed >= horizon {
 			break
 		}
-		if p.stop != nil {
-			select {
-			case <-p.stop:
-				interrupted = true
-			default:
-			}
+		select {
+		case <-p.stop:
+			interrupted = true
+		default:
 		}
 		if interrupted {
 			break
@@ -473,13 +373,13 @@ func soak(p soakParams, w io.Writer) error {
 		// No budget within the poll count suffices: report at the cap.
 		budget = int(rec.Polls())
 	}
-	if err := trace.Verdict(w, h, chaos.StableAgreement, budget); err != nil {
+	// One evaluation renders both the report and the event stream.
+	ic := core.EvalIncremental(h, chaos.StableAgreement, budget)
+	if err := trace.VerdictFrom(w, ic); err != nil {
 		fail("Definition 2.4: %v", err)
 	}
 	if p.sink != nil {
-		// Mirror the verdict onto the event stream; trace.Verdict above
-		// already folded any violation into the failure list.
-		_ = trace.Events(p.sink, h, chaos.StableAgreement, budget)
+		trace.EventsFrom(p.sink, ic, ic.Measure())
 	}
 
 	if f, ok := minFrontier(smrRT, n); !ok || f == 0 {

@@ -82,7 +82,7 @@ func TestSameSeedSameVerdict(t *testing.T) {
 }
 
 // TestMultiRunFansOutSeeds: -runs R stages R independent soaks on
-// consecutive seeds through the soakMany pool, merges reports in seed
+// consecutive seeds through soakMany (internal/pool), merges reports in seed
 // order, and summarizes. -workers 1 keeps the live clusters' timing
 // honest under the race detector on small machines; the merged report
 // is byte-identical for any worker count.

@@ -24,12 +24,10 @@
 // -trace enables causal op tracing (deterministic span IDs, one
 // queue/slot/apply span triple per op, containment spans per
 // corruption) and writes the sorted span JSONL to FILE on exit —
-// ftss-tracev's input. -admin serves the live telemetry plane
-// (/metrics, /healthz, /events) while the store runs; -events appends
-// shard lifecycle events to FILE and feeds the same stream to the
-// admin tail. -metrics-interval streams "# delta" blocks to
-// FILE.deltas (FILE from -metrics); the blocks sum to the exit
-// snapshot, which obs.SnapshotSum and the soak tests pin.
+// ftss-tracev's input. -events carries shard lifecycle events, and
+// /healthz on -admin answers 503 while any shard's verdict is failing;
+// what the shared telemetry flags do is internal/cli's session
+// (DESIGN.md §8, "Command shell").
 //
 //ftss:conc one goroutine per connection over monitor-guarded shards
 package main
@@ -39,15 +37,9 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
-	_ "net/http/pprof" // registered on the opt-in -pprof listener only
 	"os"
-	"sync"
-	"time"
 
-	"ftss/internal/admin"
 	"ftss/internal/cli"
-	"ftss/internal/obs"
 	"ftss/internal/sim/async"
 	"ftss/internal/store"
 )
@@ -59,7 +51,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer, stop <-chan struct{}) error {
+func run(args []string, out io.Writer, stop <-chan struct{}) (err error) {
 	fs := flag.NewFlagSet("ftss-store", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:7400", "TCP listen address")
 	shards := fs.Int("shards", 16, "independent consensus groups")
@@ -69,105 +61,26 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	pipeline := fs.Int("pipeline", 2, "smr pipeline depth")
 	corruptEvery := fs.Duration("corrupt-every", 0,
 		"sim interval between per-shard corruption strikes (0 = off)")
-	metricsFile := fs.String("metrics", "", "write the merged metrics snapshot to this file on exit")
-	metricsInterval := fs.Duration("metrics-interval", 0,
-		"stream periodic metric delta blocks to the -metrics file + \".deltas\" (0 = off)")
 	traceFile := fs.String("trace", "", "enable causal op tracing and write span JSONL to this file on exit")
-	eventsFile := fs.String("events", "", "append shard lifecycle events (JSONL) to this file")
-	adminAddr := fs.String("admin", "", "serve the admin plane (/metrics, /healthz, /events) on this address")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	// -events appends: a restarted server extends its predecessor's file.
+	tel := cli.Bind(fs, cli.Metrics|cli.MetricsInterval|cli.EventsAppend|cli.Admin|cli.Pprof)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *metricsInterval > 0 && *metricsFile == "" {
-		return fmt.Errorf("-metrics-interval needs -metrics FILE for the delta stream path")
+	if err := tel.Open(out); err != nil {
+		return err
 	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ftss-store: pprof:", err)
-			}
-		}()
-		fmt.Fprintf(out, "pprof listening on %s\n", *pprofAddr)
-	}
+	defer func() { err = tel.Close(err) }()
 
-	// The event stream fans out to the -events file and the admin tail;
-	// either alone still gets the full stream.
-	var tail *admin.Tail
-	if *adminAddr != "" {
-		tail = admin.NewTail(0)
-	}
-	var eventSinks []io.Writer
-	if tail != nil {
-		eventSinks = append(eventSinks, tail)
-	}
-	if *eventsFile != "" {
-		ef, err := os.OpenFile(*eventsFile, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		defer ef.Close()
-		eventSinks = append(eventSinks, ef)
-	}
-	cfg := store.Config{
+	st := store.New(store.Config{
 		Shards: *shards, Replicas: *replicas, Seed: *seed,
 		MaxBatch: *maxBatch, Pipeline: *pipeline,
 		CorruptEvery: async.Time(corruptEvery.Microseconds()),
 		Trace:        *traceFile != "",
-	}
-	if len(eventSinks) > 0 {
-		cfg.Events = obs.NewJSONL(io.MultiWriter(eventSinks...))
-	}
-	st := store.New(cfg)
-
-	if *adminAddr != "" {
-		adm, err := admin.Start(*adminAddr, admin.Plane{
-			Metrics: st.MetricsSnapshot,
-			Health:  func() (bool, []byte) { return healthz(st) },
-			Tail:    tail,
-		})
-		if err != nil {
-			return err
-		}
-		defer adm.Close()
-		fmt.Fprintf(out, "admin plane on %s\n", adm.Addr())
-	}
-
-	stopDeltas := func() error { return nil }
-	if *metricsInterval > 0 {
-		df, err := os.Create(*metricsFile + ".deltas")
-		if err != nil {
-			return err
-		}
-		dw := obs.NewDeltaWriter(df, st.MetricsSnapshot)
-		var mu sync.Mutex
-		done := make(chan struct{})
-		ticker := time.NewTicker(*metricsInterval)
-		go func() {
-			for {
-				select {
-				case <-ticker.C:
-					mu.Lock()
-					dw.Tick()
-					mu.Unlock()
-				case <-done:
-					return
-				}
-			}
-		}()
-		stopDeltas = func() error {
-			ticker.Stop()
-			close(done)
-			mu.Lock()
-			defer mu.Unlock()
-			// The final delta closes the stream: the block sum now equals
-			// the exit snapshot exactly.
-			err := dw.Tick()
-			if cerr := df.Close(); err == nil {
-				err = cerr
-			}
-			return err
-		}
+		Events:       tel.Sink(),
+	})
+	if err := tel.Serve("", st.MetricsSnapshot, func() (bool, []byte) { return healthz(st) }); err != nil {
+		return err
 	}
 
 	ln, err := net.Listen("tcp", *listen)
@@ -179,14 +92,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 
 	serveErr := store.NewServer(st).Serve(ln, stop)
 
-	if err := stopDeltas(); err != nil && serveErr == nil {
-		serveErr = err
-	}
-	if *metricsFile != "" {
-		if err := os.WriteFile(*metricsFile, st.MetricsSnapshot(), 0o644); err != nil {
-			return err
-		}
-	}
 	if *traceFile != "" {
 		tf, err := os.Create(*traceFile)
 		if err != nil {

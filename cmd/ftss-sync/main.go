@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ftss/internal/cli"
 	"ftss/internal/core"
 	"ftss/internal/failure"
 	"ftss/internal/fullinfo"
@@ -36,7 +37,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("ftss-sync", flag.ContinueOnError)
 	n := fs.Int("n", 5, "number of processes")
 	f := fs.Int("f", 2, "designated faulty bound (f < n)")
@@ -50,8 +51,7 @@ func run(args []string) error {
 	showTrace := fs.Bool("trace", false, "print the full timeline, segment structure and verdict report")
 	traceFrom := fs.Int("trace-from", 0, "first round the -trace timeline renders (0 = start)")
 	traceTo := fs.Int("trace-to", 0, "last round the -trace timeline renders (0 = end)")
-	metricsFile := fs.String("metrics", "", "write the telemetry snapshot (counters/histograms) to this file")
-	eventsFile := fs.String("events", "", "write the structured JSONL event stream to this file")
+	tel := cli.Bind(fs, cli.Metrics|cli.Events)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -99,16 +99,15 @@ func run(args []string) error {
 	in := superimpose.SeededInputs(*seed, 1000)
 	sigma := superimpose.RepeatedConsensus{FinalRound: pi.FinalRound(), Inputs: in}
 
-	reg := obs.NewRegistry()
-	var sink obs.Sink
-	if *eventsFile != "" {
-		ef, err := os.Create(*eventsFile)
-		if err != nil {
-			return err
-		}
-		defer ef.Close()
-		sink = obs.NewJSONL(ef)
+	if err := tel.Open(os.Stdout); err != nil {
+		return err
 	}
+	defer func() { err = tel.Close(err) }()
+	reg := obs.NewRegistry()
+	if err := tel.Serve("", reg.Snapshot, nil); err != nil {
+		return err
+	}
+	sink := tel.Sink()
 
 	h := history.New(*n, adv.Faulty())
 	var e *round.Engine
@@ -175,24 +174,11 @@ func run(args []string) error {
 	if sink != nil {
 		trace.EventsFrom(sink, ic, m)
 	}
-	if *metricsFile != "" {
-		mf, err := os.Create(*metricsFile)
-		if err != nil {
-			return err
-		}
-		if _, err := reg.WriteTo(mf); err != nil {
-			mf.Close()
-			return err
-		}
-		if err := mf.Close(); err != nil {
-			return err
-		}
-	}
-	err := ic.Verdict()
-	if err == nil {
+	verdict := ic.Verdict()
+	if verdict == nil {
 		fmt.Printf("Definition 2.4 verdict: Σ⁺ ftss-SOLVED with stabilization time %d\n", pi.FinalRound())
 	} else {
-		fmt.Printf("Definition 2.4 verdict: VIOLATED — %v\n", err)
+		fmt.Printf("Definition 2.4 verdict: VIOLATED — %v\n", verdict)
 	}
 	if m.Rounds >= 0 {
 		fmt.Printf("measured stabilization of the final stable segment: %d rounds (event at round %d, satisfied from round %d)\n",
@@ -200,7 +186,7 @@ func run(args []string) error {
 	} else {
 		fmt.Println("the final stable segment never satisfied Σ⁺")
 	}
-	if err != nil && !*naive {
+	if verdict != nil && !*naive {
 		return fmt.Errorf("compiled protocol failed the checker")
 	}
 	return nil

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"strings"
+	"testing"
+)
 
 func TestRunCompiled(t *testing.T) {
 	if err := run([]string{"-n", "4", "-f", "1", "-rounds", "12", "-corrupt", "1,6", "-seed", "3", "-trace"}); err != nil {
@@ -25,5 +29,17 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-kind", "martian"}); err == nil {
 		t.Fatal("unknown failure kind accepted")
+	}
+}
+
+// TestEventsWriteFailureFailsRun: an -events stream the run could not
+// write (a full disk) is a failed run, not a silently truncated file.
+func TestEventsWriteFailureFailsRun(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	err := run([]string{"-n", "4", "-f", "1", "-rounds", "12", "-seed", "3", "-events", "/dev/full"})
+	if err == nil || !strings.Contains(err.Error(), "event stream") {
+		t.Fatalf("run with an unwritable -events stream returned %v", err)
 	}
 }

@@ -6,8 +6,8 @@ import "go/ast"
 // scheduling is nondeterministic; the only sanctioned concurrency in the
 // det world is a worker pool whose results are merged back in a
 // schedule-independent order, and such a file declares itself with a
-// file-level //ftss:pool <reason> directive (internal/experiment's
-// parallel.go runIndexed pool). Everything else belongs in
+// file-level //ftss:pool <reason> directive (internal/pool's Run, which
+// internal/experiment fans repetitions across). Everything else belongs in
 // internal/sim/live, which embraces real concurrency and is outside the
 // contract.
 var NoGoroutine = &Analyzer{

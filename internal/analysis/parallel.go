@@ -14,8 +14,8 @@ import (
 // transitive dependencies of every package), and the packages of one
 // run are independent: each worker owns a private Loader — the Loader
 // caches by mutable maps and is not concurrency-safe — and claims
-// directory indices from a shared counter, exactly the
-// internal/experiment runIndexed pool shape. Results land in
+// directory indices from a shared counter, the internal/pool.Run shape
+// with per-worker state (which is why it is not a caller). Results land in
 // index-order slices and the diagnostics are sorted after the merge,
 // so the report is byte-identical to a sequential run regardless of
 // worker count.

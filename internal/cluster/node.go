@@ -6,8 +6,8 @@ import (
 	"math/rand"
 	"time"
 
-	"ftss/internal/admin"
 	"ftss/internal/chaos"
+	"ftss/internal/cli"
 	"ftss/internal/ctcons"
 	"ftss/internal/obs"
 	"ftss/internal/proc"
@@ -50,20 +50,9 @@ type NodeConfig struct {
 	// Corrupt randomizes the process state before it runs — the restart
 	// from garbage of §2.1.
 	Corrupt bool
-	// Events receives the node's telemetry and its node_poll records
-	// (nil = none). Poll records are stamped with the poll index, not
-	// wall time.
-	Events obs.Sink
 	// ChaosEvents receives the deterministic schedule stream
 	// (WriteChaosSchedule); nil = none.
 	ChaosEvents obs.Sink
-	// Metrics receives the final registry snapshot on exit (nil = none).
-	Metrics io.Writer
-	// AdminAddr, when non-empty, serves the live admin plane on that
-	// address while the node runs: /metrics is the registry snapshot,
-	// /healthz the runtime health plus decision state (503 until the
-	// hosted process decides), /events a tail of the Events stream.
-	AdminAddr string
 }
 
 func (c NodeConfig) withDefaults() NodeConfig {
@@ -97,10 +86,13 @@ func Inputs(seed int64, n int) []ctcons.Value {
 }
 
 // RunNode boots one node and blocks until the schedule's horizon passes
-// or stop fires (graceful shutdown: the final snapshot is still written
-// and sinks still see every event emitted so far). Progress and the
-// final health/transport report go to w.
-func RunNode(cfg NodeConfig, stop <-chan struct{}, w io.Writer) error {
+// or stop fires (graceful shutdown). Telemetry goes through the caller's
+// opened session: node_poll records (stamped with the poll index, not
+// wall time) and runtime events on tel.Sink(), the registry behind
+// /metrics and the exit snapshot the caller's tel.Close writes, and a
+// /healthz that answers 503 until the hosted process decides. Progress
+// and the final health/transport report go to w.
+func RunNode(cfg NodeConfig, tel *cli.Telemetry, stop <-chan struct{}, w io.Writer) error {
 	cfg = cfg.withDefaults()
 	if cfg.N < 3 {
 		return fmt.Errorf("node: need n ≥ 3, got %d", cfg.N)
@@ -113,17 +105,7 @@ func RunNode(cfg NodeConfig, stop <-chan struct{}, w io.Writer) error {
 		WriteChaosSchedule(cfg.ChaosEvents, plan, cfg.ID)
 	}
 
-	sink := obs.Sink(obs.Null{})
-	if cfg.Events != nil {
-		sink = cfg.Events
-	}
-	// The admin tail sees the same event stream the Events sink gets, so
-	// /events mirrors the on-disk JSONL.
-	var tail *admin.Tail
-	if cfg.AdminAddr != "" {
-		tail = admin.NewTail(0)
-		sink = obs.Tee(sink, obs.NewJSONL(tail))
-	}
+	sink := obs.Tee(tel.Sink()) // Null when the session has no stream
 	reg := obs.NewRegistry()
 	ins := live.NewInstruments(reg, "node", sink)
 
@@ -162,17 +144,9 @@ func RunNode(cfg NodeConfig, stop <-chan struct{}, w io.Writer) error {
 	defer rt.Stop()
 	rt.Apply(LocalActions(plan, cfg.ID, cfg.Since), rand.New(rand.NewSource(cfg.Seed*13+int64(cfg.ID))))
 
-	if cfg.AdminAddr != "" {
-		adm, err := admin.Start(cfg.AdminAddr, admin.Plane{
-			Metrics: reg.Snapshot,
-			Health:  func() (bool, []byte) { return nodeHealth(rt, cfg.ID) },
-			Tail:    tail,
-		})
-		if err != nil {
-			return err
-		}
-		defer adm.Close()
-		fmt.Fprintf(w, "node %d: admin plane on %s\n", int(cfg.ID), adm.Addr())
+	if err := tel.Serve(fmt.Sprintf("node %d: ", int(cfg.ID)), reg.Snapshot,
+		func() (bool, []byte) { return nodeHealth(rt, cfg.ID) }); err != nil {
+		return err
 	}
 
 	fmt.Fprintf(w, "node %d: seed=%d n=%d listen=%s since=%v horizon=%v\n",
@@ -212,14 +186,10 @@ poll:
 			v, r, ok := p.(*ctcons.HeartbeatProc).Decision()
 			cell = chaos.DecisionCell{OK: ok, Round: r, Val: int64(v)}
 		}) {
-			okv := int64(0)
-			if cell.OK {
-				okv = 1
-			}
 			sink.Emit(obs.Event{
 				Kind: "node_poll", T: k, P: int(cfg.ID),
 				Fields: []obs.KV{
-					{K: "ok", V: okv},
+					{K: "ok", V: boolInt(cell.OK)},
 					{K: "round", V: int64(cell.Round)},
 					{K: "val", V: cell.Val},
 				},
@@ -228,8 +198,9 @@ poll:
 		k++
 	}
 
-	// Final snapshot: health, transport, decision — written on both the
-	// natural horizon and a graceful shutdown.
+	// Final report: health, transport, decision — on both the natural
+	// horizon and a graceful shutdown. The transport counters join the
+	// registry here, ahead of the session's exit snapshot.
 	stats := tr.Stats()
 	mirrorStats(reg, stats)
 	sink.Emit(obs.Event{Kind: "node_done", T: k, P: int(cfg.ID),
@@ -240,11 +211,6 @@ poll:
 		fmt.Fprintf(w, "node %d: decided %d@%d\n", int(cfg.ID), v, r)
 	} else {
 		fmt.Fprintf(w, "node %d: no decision\n", int(cfg.ID))
-	}
-	if cfg.Metrics != nil {
-		if _, err := reg.WriteTo(cfg.Metrics); err != nil {
-			return err
-		}
 	}
 	return nil
 }

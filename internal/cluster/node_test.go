@@ -2,15 +2,18 @@ package cluster
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
-	"ftss/internal/obs"
+	"ftss/internal/cli"
 	"ftss/internal/proc"
 )
 
@@ -29,6 +32,21 @@ func freeAddrs(t *testing.T, n int) []string {
 		ln.Close()
 	}
 	return addrs
+}
+
+// runNode runs one node the way ftss-node's main does: a telemetry
+// session bound to the node's flag subset, opened over args, handed to
+// RunNode, and closed over its result.
+func runNode(cfg NodeConfig, stop <-chan struct{}, args ...string) error {
+	fs := flag.NewFlagSet("node", flag.ContinueOnError)
+	tel := cli.Bind(fs, cli.Metrics|cli.EventsAppend|cli.Admin)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := tel.Open(io.Discard); err != nil {
+		return err
+	}
+	return tel.Close(RunNode(cfg, tel, stop, io.Discard))
 }
 
 // TestThreeNodeLoopbackRun boots three real nodes — separate transports,
@@ -56,22 +74,21 @@ func TestThreeNodeLoopbackRun(t *testing.T) {
 		return m
 	}
 
-	bufs := make([]*bytes.Buffer, n)
+	streams := make([]string, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		bufs[i] = &bytes.Buffer{}
+		streams[i] = filepath.Join(t.TempDir(), "events.jsonl")
 		cfg := NodeConfig{
 			ID: proc.ID(i), N: n, Seed: seed,
 			Listen: addrs[i], Peers: peers(proc.ID(i)),
 			QuietLen:  quiet, // no episodes: horizon = lead = quiet
 			PollEvery: pollEvery,
-			Events:    obs.NewJSONL(bufs[i]),
 		}
 		wg.Add(1)
 		go func(i int, cfg NodeConfig) {
 			defer wg.Done()
-			errs[i] = RunNode(cfg, nil, io.Discard)
+			errs[i] = runNode(cfg, nil, "-events", streams[i])
 		}(i, cfg)
 	}
 	wg.Wait()
@@ -82,8 +99,12 @@ func TestThreeNodeLoopbackRun(t *testing.T) {
 	}
 
 	var all []PollRecord
-	for i, buf := range bufs {
-		recs, err := ParsePolls(bytes.NewReader(buf.Bytes()))
+	for i, path := range streams {
+		stream, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := ParsePolls(bytes.NewReader(stream))
 		if err != nil {
 			t.Fatalf("node %d stream: %v", i, err)
 		}
@@ -126,21 +147,19 @@ func TestThreeNodeLoopbackRun(t *testing.T) {
 // early, and the node still writes its final snapshot and node_done.
 func TestRunNodeGracefulStop(t *testing.T) {
 	addrs := freeAddrs(t, 3)
-	var buf bytes.Buffer
-	var metrics bytes.Buffer
+	events := filepath.Join(t.TempDir(), "events.jsonl")
+	metrics := filepath.Join(t.TempDir(), "metrics.txt")
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- RunNode(NodeConfig{
+		done <- runNode(NodeConfig{
 			ID: 0, N: 3, Seed: 3,
 			Listen: addrs[0],
 			Peers:  map[proc.ID]string{1: addrs[1], 2: addrs[2]},
 			// A long quiet horizon the stop must cut short.
 			QuietLen:  time.Hour,
 			PollEvery: 5 * time.Millisecond,
-			Events:    obs.NewJSONL(&buf),
-			Metrics:   &metrics,
-		}, stop, io.Discard)
+		}, stop, "-events", events, "-metrics", metrics)
 	}()
 	time.Sleep(50 * time.Millisecond)
 	close(stop)
@@ -152,19 +171,22 @@ func TestRunNodeGracefulStop(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("node did not stop within 5s of the signal")
 	}
-	out := buf.String()
-	if !bytes.Contains(buf.Bytes(), []byte(`"ev":"node_done"`)) {
+	out, err := os.ReadFile(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(out, []byte(`"ev":"node_done"`)) {
 		t.Errorf("no node_done event in stream:\n%s", out)
 	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"stopped":1`)) {
+	if !bytes.Contains(out, []byte(`"stopped":1`)) {
 		t.Errorf("node_done does not record the early stop:\n%s", out)
 	}
-	if metrics.Len() == 0 {
-		t.Error("no final metrics snapshot written")
+	if snap, err := os.ReadFile(metrics); err != nil || len(snap) == 0 {
+		t.Errorf("no final metrics snapshot written (%v)", err)
 	}
 }
 
-// TestNodeAdminPlane: a node run with AdminAddr serves live /metrics,
+// TestNodeAdminPlane: a node run with -admin serves live /metrics,
 // flips /healthz to 200 once its process decides, and tails the event
 // stream on /events — all scraped mid-run, not post-mortem.
 func TestNodeAdminPlane(t *testing.T) {
@@ -194,14 +216,14 @@ func TestNodeAdminPlane(t *testing.T) {
 				cfg.Peers[p] = addrs[p]
 			}
 		}
+		var args []string
 		if i == 0 {
-			cfg.AdminAddr = adminAddr
-			cfg.Events = obs.NewJSONL(io.Discard)
+			args = []string{"-admin", adminAddr}
 		}
 		wg.Add(1)
 		go func(i int, cfg NodeConfig) {
 			defer wg.Done()
-			errs[i] = RunNode(cfg, nil, io.Discard)
+			errs[i] = runNode(cfg, nil, args...)
 		}(i, cfg)
 	}
 
@@ -251,10 +273,10 @@ func TestNodeAdminPlane(t *testing.T) {
 }
 
 func TestRunNodeValidation(t *testing.T) {
-	if err := RunNode(NodeConfig{ID: 0, N: 2}, nil, io.Discard); err == nil {
+	if err := runNode(NodeConfig{ID: 0, N: 2}, nil); err == nil {
 		t.Error("n=2 accepted")
 	}
-	if err := RunNode(NodeConfig{ID: 5, N: 3}, nil, io.Discard); err == nil {
+	if err := runNode(NodeConfig{ID: 5, N: 3}, nil); err == nil {
 		t.Error("out-of-range id accepted")
 	}
 }

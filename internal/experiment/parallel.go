@@ -1,64 +1,25 @@
 package experiment
 
-//ftss:pool bounded repetition fan-out; results merge in index order, so output is identical to a sequential run
-
 import (
 	"runtime"
-	"sync"
+
+	"ftss/internal/pool"
 )
 
 // The experiments are embarrassingly parallel across repetitions: every
 // (seed, parameter-point) run builds its own engine, adversary, history,
 // and RNG from the repetition seed, shares nothing mutable, and is
-// deterministic. The helpers below fan repetitions across a bounded worker
-// pool and hand the results back in index order, so aggregation — and
-// therefore every rendered table — is byte-identical to a sequential run
-// regardless of Workers.
-
-// runIndexed evaluates fn(0..n-1) across at most `workers` goroutines and
-// returns the results in index order. workers ≤ 1 runs inline with no
-// goroutines at all, which keeps single-worker runs trivially identical to
-// the historical sequential code path.
-func runIndexed[T any](workers, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				out[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
+// deterministic. The helpers below fan repetitions across the bounded
+// worker pool (internal/pool) and take the results back in index order,
+// so aggregation — and therefore every rendered table — is byte-identical
+// to a sequential run regardless of Workers.
 
 // runSeeds evaluates fn once per repetition seed, cfg.BaseSeed+1 through
 // cfg.BaseSeed+Seeds, across cfg.workers() goroutines, and returns the
 // results in seed order. fn must derive all randomness from its seed
 // argument and must not share mutable state across calls.
 func runSeeds[T any](cfg Config, fn func(seed int64) T) []T {
-	out := runIndexed(cfg.workers(), cfg.Seeds, func(i int) T {
+	out := pool.Run(cfg.workers(), cfg.Seeds, func(i int) T {
 		return fn(cfg.BaseSeed + 1 + int64(i))
 	})
 	cfg.countRepetitions(len(out))
@@ -69,7 +30,7 @@ func runSeeds[T any](cfg Config, fn func(seed int64) T) []T {
 // goroutines and returns the results in point order. Used by experiments
 // whose repetition axis is a scenario list rather than a seed range.
 func runPoints[P, T any](cfg Config, points []P, fn func(p P) T) []T {
-	out := runIndexed(cfg.workers(), len(points), func(i int) T {
+	out := pool.Run(cfg.workers(), len(points), func(i int) T {
 		return fn(points[i])
 	})
 	cfg.countRepetitions(len(out))

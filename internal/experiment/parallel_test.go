@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ftss/internal/obs"
+	"ftss/internal/pool"
 )
 
 // narrowE14 trims E14 to its two narrow widths for the duration of a
@@ -93,7 +94,7 @@ func cfgRepetitions(snapshot []byte) int {
 // counts below, at, and above the item count.
 func TestRunIndexedOrderAndCoverage(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 16, 100} {
-		got := runIndexed(workers, 37, func(i int) string {
+		got := pool.Run(workers, 37, func(i int) string {
 			return fmt.Sprintf("item-%d", i)
 		})
 		if len(got) != 37 {

@@ -22,7 +22,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"sync"
@@ -392,10 +391,4 @@ func (r *Registry) Snapshot() []byte {
 		buf = in.appendLine(buf, name)
 	}
 	return buf
-}
-
-// WriteTo writes the snapshot, implementing io.WriterTo.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(r.Snapshot())
-	return int64(n), err
 }

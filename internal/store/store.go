@@ -24,9 +24,9 @@ package store
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"ftss/internal/obs"
+	"ftss/internal/pool"
 	"ftss/internal/sim/async"
 )
 
@@ -190,41 +190,10 @@ func (st *Store) Drive(workers int) error {
 }
 
 // fanOut runs fn on every shard across at most workers goroutines and
-// returns the per-shard results in shard order (the experiment pool
-// pattern: a shared index under a mutex, results merged by index).
+// returns the per-shard results in shard order; workers ≤ 1 is an inline
+// loop with no goroutine (internal/pool).
 func (st *Store) fanOut(workers int, fn func(*Shard) error) []error {
-	n := len(st.shards)
-	out := make([]error, n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, sh := range st.shards {
-			out[i] = fn(sh)
-		}
-		return out
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				out[i] = fn(st.shards[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+	return pool.Run(workers, len(st.shards), func(i int) error { return fn(st.shards[i]) })
 }
 
 // Makespan returns the largest shard sim-clock: the virtual time by
