@@ -25,7 +25,6 @@
 package async
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 
@@ -116,31 +115,72 @@ type event struct {
 	payload any
 }
 
+// before is the queue order: time, then push sequence. Sequence numbers
+// are unique, so the order is total and the pop sequence does not depend
+// on how the heap happens to be laid out.
+func (ev *event) before(o *event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
+	}
+	return ev.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events under before.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev *event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = ev
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// pop removes and returns the earliest event. The heap must be non-empty.
+func (h *eventHeap) pop() *event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	// Sift last down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(q[child]) {
+			child = r
+		}
+		if !q[child].before(last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = last
+	return top
 }
 
 // Engine is the discrete-event asynchronous simulator.
 type Engine struct {
 	cfg     Config
 	procs   []Proc
-	byID    map[proc.ID]Proc
+	byID    []Proc    // indexed by process ID
+	ctxs    []procCtx // one per process, indexed by ID, reused for every callback
 	rng     *rand.Rand
 	now     Time
 	seq     uint64
@@ -155,13 +195,13 @@ type Engine struct {
 // 0..n−1 and unique.
 func NewEngine(procs []Proc, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	byID := make(map[proc.ID]Proc, len(procs))
+	byID := make([]Proc, len(procs))
 	for _, p := range procs {
 		id := p.ID()
 		if int(id) < 0 || int(id) >= len(procs) {
 			return nil, fmt.Errorf("process id %v out of range [0,%d)", id, len(procs))
 		}
-		if _, dup := byID[id]; dup {
+		if byID[id] != nil {
 			return nil, fmt.Errorf("duplicate process id %v", id)
 		}
 		byID[id] = p
@@ -170,8 +210,12 @@ func NewEngine(procs []Proc, cfg Config) (*Engine, error) {
 		cfg:     cfg,
 		procs:   procs,
 		byID:    byID,
+		ctxs:    make([]procCtx, len(procs)),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		crashed: proc.NewSet(),
+	}
+	for i := range e.ctxs {
+		e.ctxs[i] = procCtx{e: e, self: proc.ID(i)}
 	}
 	// Stagger initial ticks so processes do not step in lockstep.
 	for _, p := range procs {
@@ -222,6 +266,9 @@ func (e *Engine) MessagesDelivered() uint64 { return e.delivered }
 func (e *Engine) Corrupt(rng *rand.Rand, ids proc.Set) int {
 	n := 0
 	for _, id := range ids.Sorted() {
+		if !e.has(id) {
+			continue
+		}
 		if c, ok := e.byID[id].(failure.Corruptible); ok {
 			c.Corrupt(rng)
 			n++
@@ -235,10 +282,13 @@ func (e *Engine) CorruptEverything(rng *rand.Rand) int {
 	return e.Corrupt(rng, proc.Universe(len(e.procs)))
 }
 
+// has reports whether id names one of the engine's processes.
+func (e *Engine) has(id proc.ID) bool { return id >= 0 && int(id) < len(e.byID) }
+
 func (e *Engine) push(ev *event) {
 	ev.seq = e.seq
 	e.seq++
-	heap.Push(&e.pq, ev)
+	e.pq.push(ev)
 }
 
 func (e *Engine) isCrashedAt(p proc.ID, t Time) bool {
@@ -250,13 +300,13 @@ func (e *Engine) isCrashedAt(p proc.ID, t Time) bool {
 // (all processes crashed).
 func (e *Engine) Step() bool {
 	for len(e.pq) > 0 {
-		ev := heap.Pop(&e.pq).(*event)
+		ev := e.pq.pop()
 		e.now = ev.at
 		if e.isCrashedAt(ev.to, ev.at) {
 			e.crashed.Add(ev.to)
 			continue // crashed processes neither step nor receive
 		}
-		ctx := &procCtx{e: e, self: ev.to}
+		ctx := &e.ctxs[ev.to]
 		switch ev.kind {
 		case evTick:
 			e.byID[ev.to].OnTick(ctx)
@@ -299,7 +349,7 @@ func (c *procCtx) Rand() *rand.Rand { return c.e.rng }
 
 func (c *procCtx) Send(to proc.ID, payload any) {
 	e := c.e
-	if _, ok := e.byID[to]; !ok {
+	if !e.has(to) {
 		return
 	}
 	e.sent++

@@ -233,6 +233,9 @@ func TestCorrupt(t *testing.T) {
 	if cs[0].corrupts != 2 || cs[1].corrupts != 1 {
 		t.Errorf("corrupt counts: %d, %d", cs[0].corrupts, cs[1].corrupts)
 	}
+	if n := e.Corrupt(rng, proc.NewSet(1, 9)); n != 1 {
+		t.Errorf("Corrupt with an unknown ID = %d, want 1", n)
+	}
 }
 
 func TestDelayBounds(t *testing.T) {

@@ -254,6 +254,11 @@ func (b *BatchingReplica) expand(ctx async.Context) {
 	if b.next > b.cur {
 		b.next = b.cur
 	}
+	if b.next == b.cur {
+		// Caught up, the case on nearly every message: cur is the slot
+		// above the frontier, so the log holds nothing to fold at it.
+		return
+	}
 	for {
 		id, ok := b.Get(b.next)
 		if !ok {

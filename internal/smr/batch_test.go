@@ -224,7 +224,8 @@ func TestPipelinedCorruptedStartRecovers(t *testing.T) {
 
 // TestPipelineHoldsDecisionOrder: a lookahead instance that decides
 // before the commit slot holds its decision out of the log until its
-// turn — the log never acquires a slot above an undecided one.
+// turn — pipelined commits enter the log in slot order. (Gossip adoption
+// is a different write path and is not covered here.)
 func TestPipelineHoldsDecisionOrder(t *testing.T) {
 	rs, _, _ := build(3, nil, 3)
 	r := rs[0]
@@ -232,7 +233,7 @@ func TestPipelineHoldsDecisionOrder(t *testing.T) {
 	if len(r.aux) != 2 {
 		t.Fatalf("lookahead window = %d instances, want 2", len(r.aux))
 	}
-	in := r.aux[r.cur+1]
+	in := r.aux[r.auxIndex(r.cur+1)].in
 	in.decided, in.decRound, in.decVal = true, 0, 42
 	r.syncCursor()
 	if _, ok := r.Get(r.cur + 1); ok {
@@ -270,9 +271,9 @@ func TestExpandDedupesCollidingID(t *testing.T) {
 	// Slot 0: the live decision. Slot 1: the corruption-minted collision,
 	// one slot later, well inside GossipWindow. Slot 2: a NoOp so the
 	// cursor sits past both.
-	b.log[0] = entry{val: id}
-	b.log[1] = entry{val: id}
-	b.log[2] = entry{val: NoOp}
+	b.put(0, entry{val: id})
+	b.put(1, entry{val: id})
+	b.put(2, entry{val: NoOp})
 	b.cur = 3
 	b.expand(nil)
 	if b.next != 3 {
@@ -299,9 +300,9 @@ func TestExpandForfeitsUnknownID(t *testing.T) {
 	b.Submit(20)
 	b.sealTick() // hold path: not sealed yet (short queue)
 	const ghost = Value(7777)
-	b.log[0] = entry{val: ghost}
+	b.put(0, entry{val: ghost})
 	for s := uint64(1); s <= 4; s++ {
-		b.log[s] = entry{val: NoOp}
+		b.put(s, entry{val: NoOp})
 	}
 	b.cur = 5
 	b.expand(nil)
@@ -309,7 +310,7 @@ func TestExpandForfeitsUnknownID(t *testing.T) {
 		t.Fatalf("fold advanced to %d past an in-window unknown ID", b.next)
 	}
 	for s := uint64(5); s <= 8; s++ {
-		b.log[s] = entry{val: NoOp}
+		b.put(s, entry{val: NoOp})
 	}
 	b.cur = 9 // cur-next = 9 > GossipWindow: the ghost is now forfeit
 	b.expand(nil)
@@ -332,7 +333,7 @@ func TestExpandJumpsCorruptedFrontier(t *testing.T) {
 	b.sealTick()
 	id := b.open[0].ID
 	const far = uint64(1) << 40
-	b.log[far-1] = entry{val: id}
+	b.put(far-1, entry{val: id})
 	b.cur = far
 	b.expand(nil)
 	if b.next != far {

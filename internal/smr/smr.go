@@ -18,7 +18,10 @@
 //   - The slot cursor is DERIVED state: a replica works on the slot after
 //     the largest it has a decision for. A corrupted cursor cannot strand
 //     a replica because the cursor is recomputed from the lattice on
-//     every step.
+//     every step. "The largest slot held" is itself kept as a cache beside
+//     the map (see put) so the derivation is O(1); the cache is redundant
+//     state under local checking (§3 mechanism 3, [ASV91]) — every tick
+//     re-derives it from the map, so a corrupted cache lives one tick.
 //
 //   - Slot instances are the ctcons state machine (re-send, round
 //     adoption, sanitization) with every message wrapped in its slot
@@ -42,6 +45,7 @@ package smr
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -104,8 +108,8 @@ type instance struct {
 	gotPropose *ctcons.ProposeMsg
 
 	// A pipelined (lookahead) instance that reaches a decision holds it
-	// here until the commit cursor arrives at its slot: decisions enter
-	// the log strictly in slot order, so pipelining never mints holes.
+	// here until the commit cursor arrives at its slot: pipelined
+	// decisions enter the log in slot order (see SetPipeline).
 	decided  bool
 	decRound uint64
 	decVal   Value
@@ -120,6 +124,12 @@ func newInstance(est Value) *instance {
 	}
 }
 
+// lookahead is one pipelined instance and the slot it runs for.
+type lookahead struct {
+	slot uint64
+	in   *instance
+}
+
 // Replica is one member of the replicated log.
 type Replica struct {
 	id   proc.ID
@@ -127,10 +137,14 @@ type Replica struct {
 	cmds CommandSource
 	det  *detector.StrongCore
 	log  map[uint64]entry
-	cur  uint64 // slot the active instance is for (derived; see syncCursor)
-	inst *instance
-	pipe int                  // pipeline depth; ≤ 1 means no lookahead
-	aux  map[uint64]*instance // lookahead instances for slots cur+1 .. cur+pipe-1
+	// Frontier cache over log, maintained by put and re-derived from the
+	// map by recheck once per tick: max is the largest slot held (0 for
+	// an empty log), low a lower bound on the smallest.
+	max, low uint64
+	cur      uint64 // slot the active instance is for (derived; see syncCursor)
+	inst     *instance
+	pipe     int         // pipeline depth; ≤ 1 means no lookahead
+	aux      []lookahead // instances for slots cur+1 .. cur+pipe-1, in slot order
 }
 
 var _ async.Proc = (*Replica)(nil)
@@ -146,8 +160,8 @@ func NewReplicas(n int, cmds CommandSource, weak detector.WeakDetector) ([]*Repl
 			cmds: cmds,
 			det:  detector.NewStrongCore(proc.ID(i), n, weak),
 			log:  make(map[uint64]entry),
-			aux:  make(map[uint64]*instance),
 		}
+		rs[i].recheck()
 		rs[i].syncCursor()
 		aps[i] = rs[i]
 	}
@@ -168,15 +182,35 @@ func (r *Replica) Get(slot uint64) (Value, bool) {
 
 // Frontier returns the largest decided slot and whether any slot is
 // decided.
-func (r *Replica) Frontier() (uint64, bool) {
-	var max uint64
-	found := false
-	for s := range r.log {
-		if !found || s > max {
-			max, found = s, true
-		}
+func (r *Replica) Frontier() (uint64, bool) { return r.max, len(r.log) > 0 }
+
+// put is the log's only write path: it stores the entry and keeps the
+// frontier cache in step. Nothing ever removes the largest slot (prune
+// works below the window under it), so between two writes the cache
+// equals what a scan of the map would find.
+func (r *Replica) put(slot uint64, e entry) {
+	r.log[slot] = e
+	r.cover(slot)
+}
+
+// cover widens the frontier cache to take in one held slot.
+func (r *Replica) cover(slot uint64) {
+	if slot > r.max {
+		r.max = slot
 	}
-	return max, found
+	if slot < r.low {
+		r.low = slot
+	}
+}
+
+// recheck re-derives the frontier cache from the map. It runs once per
+// tick, so the cache is never trusted for longer than that: whatever a
+// systemic failure wrote into it is gone by the replica's next step.
+func (r *Replica) recheck() {
+	r.max, r.low = 0, math.MaxUint64
+	for s := range r.log {
+		r.cover(s)
+	}
 }
 
 // LogLen returns the number of decided slots held.
@@ -192,9 +226,12 @@ func (r *Replica) coord(round uint64) proc.ID { return proc.ID(round % uint64(r.
 // SetPipeline sets how many consecutive slots the replica drives
 // concurrently: while slot cur finalizes, the instances for the next d-1
 // slots already run their round agreement. A lookahead decision is held
-// in its instance and committed strictly in slot order, so the log
-// lattice never grows holes, and depth 1 (the default) behaves — message
-// for message — exactly like the unpipelined replica.
+// in its instance and committed strictly in slot order: pipelining never
+// puts a decision into the log above a slot the same replica has yet to
+// commit (TestPipelineHoldsDecisionOrder). That says nothing about gossip
+// adoption, which merges whatever entries arrive and can leave a slot
+// missing below the frontier (ROADMAP item 1). Depth 1 (the default)
+// behaves — message for message — exactly like the unpipelined replica.
 func (r *Replica) SetPipeline(d int) {
 	if d < 1 {
 		d = 1
@@ -221,11 +258,11 @@ func (r *Replica) syncCursor() {
 			want = f + 1
 		}
 		if r.inst == nil || r.cur != want {
-			if in, ok := r.aux[want]; ok {
+			if i := r.auxIndex(want); i >= 0 {
 				// Promote the lookahead instance: its in-flight round
 				// work (and possibly its held decision) carries over.
-				delete(r.aux, want)
-				r.inst = in
+				r.inst = r.aux[i].in
+				r.aux = slices.Delete(r.aux, i, i+1)
 			} else {
 				r.inst = newInstance(r.cmds(r.id, want))
 			}
@@ -239,31 +276,48 @@ func (r *Replica) syncCursor() {
 		r.adopt(SlotDecision{Slot: r.cur, Round: r.inst.decRound, Val: r.inst.decVal})
 		r.inst = nil
 	}
-	// Reconcile the lookahead window [cur+1, cur+depth-1].
-	if d := uint64(r.depth()); d > 1 {
-		for s := range r.aux {
-			if s <= r.cur || s >= r.cur+d {
-				delete(r.aux, s)
-			}
+	// Reconcile the lookahead window [cur+1, cur+depth-1]: drop what fell
+	// outside it, then open the undecided slots it is missing. Both passes
+	// keep aux in slot order.
+	d := uint64(r.depth())
+	r.aux = slices.DeleteFunc(r.aux, func(a lookahead) bool {
+		return a.slot <= r.cur || a.slot >= r.cur+d
+	})
+	i := 0 // aux[i] is the first lookahead at or above slot s
+	for s := r.cur + 1; s < r.cur+d; s++ {
+		if i < len(r.aux) && r.aux[i].slot == s {
+			i++
+			continue
 		}
-		for s := r.cur + 1; s < r.cur+d; s++ {
-			if _, ok := r.aux[s]; ok {
-				continue
-			}
-			if _, done := r.log[s]; done {
-				continue
-			}
-			r.aux[s] = newInstance(r.cmds(r.id, s))
+		if _, done := r.log[s]; done {
+			continue
 		}
+		r.aux = slices.Insert(r.aux, i, lookahead{slot: s, in: newInstance(r.cmds(r.id, s))})
+		i++
 	}
-	// Prune below the gossip window: retained ⟺ reconciled.
-	if r.cur > GossipWindow {
+	// Prune below the gossip window: retained ⟺ reconciled. The low-water
+	// mark says when nothing sits there, which is nearly always.
+	if r.cur > GossipWindow && r.low < r.cur-GossipWindow {
+		floor := r.cur - GossipWindow
+		r.low = r.max
 		for s := range r.log {
-			if s < r.cur-GossipWindow {
+			if s < floor {
 				delete(r.log, s)
+			} else if s < r.low {
+				r.low = s
 			}
 		}
 	}
+}
+
+// auxIndex returns the position of slot's lookahead instance, or -1.
+func (r *Replica) auxIndex(slot uint64) int {
+	for i, a := range r.aux {
+		if a.slot == slot {
+			return i
+		}
+	}
+	return -1
 }
 
 // adopt merges a decision into the log lattice (higher round wins, then
@@ -271,13 +325,14 @@ func (r *Replica) syncCursor() {
 func (r *Replica) adopt(d SlotDecision) {
 	e, ok := r.log[d.Slot]
 	if !ok || d.Round > e.round || (d.Round == e.round && d.Val > e.val) {
-		r.log[d.Slot] = entry{round: d.Round, val: d.Val}
+		r.put(d.Slot, entry{round: d.Round, val: d.Val})
 	}
 }
 
 // OnTick implements async.Proc.
 func (r *Replica) OnTick(ctx async.Context) {
 	r.det.OnTick(ctx)
+	r.recheck()
 	r.syncCursor()
 
 	// Gossip the most recent decided slots.
@@ -298,21 +353,15 @@ func (r *Replica) OnTick(ctx async.Context) {
 	}
 
 	// Drive the pipeline: the commit slot first, then the lookahead slots
-	// in increasing order. Slots are collected up front because a decision
-	// mid-drive promotes a lookahead instance out of aux (it is then
-	// driven again on the next tick, not twice in this one).
+	// in increasing order. A commit-slot decision promotes a lookahead
+	// instance out of aux before the loop reads it (that instance is then
+	// driven again on the next tick, not twice in this one). Inside the
+	// loop aux is stable: a lookahead decision is only held, so the
+	// syncCursor it triggers finds the frontier, and with it the window,
+	// where they were.
 	r.driveInstance(ctx, r.cur, r.inst)
-	if len(r.aux) > 0 {
-		slots := make([]uint64, 0, len(r.aux))
-		for s := range r.aux {
-			slots = append(slots, s)
-		}
-		slices.Sort(slots)
-		for _, s := range slots {
-			if in, ok := r.aux[s]; ok {
-				r.driveInstance(ctx, s, in)
-			}
-		}
+	for _, a := range r.aux {
+		r.driveInstance(ctx, a.slot, a.in)
 	}
 }
 
@@ -389,8 +438,8 @@ func (r *Replica) OnMessage(ctx async.Context, from proc.ID, payload any) {
 			r.onSlotMessage(r.inst, from, m.Inner)
 			return
 		}
-		if in, ok := r.aux[m.Slot]; ok {
-			r.onSlotMessage(in, from, m.Inner)
+		if i := r.auxIndex(m.Slot); i >= 0 {
+			r.onSlotMessage(r.aux[i].in, from, m.Inner)
 			return
 		}
 		// A slot we've already decided: answer with its decision so
@@ -462,9 +511,7 @@ func (r *Replica) Corrupt(rng *rand.Rand) {
 	// syncCursor rebuild it (a corrupted lookahead instance is
 	// indistinguishable from a fresh one to the protocol, and clearing
 	// keeps the rng stream identical to the unpipelined replica).
-	if len(r.aux) > 0 {
-		r.aux = make(map[uint64]*instance)
-	}
+	r.aux = nil
 	// Poison a few log entries, including possibly a far-future slot.
 	for i := 0; i < 3; i++ {
 		if rng.Intn(2) == 0 {
@@ -474,10 +521,10 @@ func (r *Replica) Corrupt(rng *rand.Rand) {
 		if rng.Intn(4) == 0 {
 			slot = uint64(rng.Int63n(1 << 20)) // far-future mint
 		}
-		r.log[slot] = entry{
+		r.put(slot, entry{
 			round: uint64(rng.Int63n(1 << 20)),
 			val:   Value(rng.Int63n(1 << 20)),
-		}
+		})
 	}
 }
 

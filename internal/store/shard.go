@@ -409,28 +409,30 @@ func (s *Shard) spanOpLocked(seq int64, now async.Time) {
 // stable segment reach and keep identical recent logs with a
 // non-regressing frontier.
 func (s *Shard) pollLocked() {
+	// One frontier read per replica: up collects who holds anything, w the
+	// least frontier among them.
+	up := proc.NewSet()
 	w := uint64(0)
-	haveW := false
-	for _, r := range s.reps {
+	for i, r := range s.reps {
 		f, ok := r.Frontier()
 		if !ok {
 			continue
 		}
-		if !haveW || f < w {
-			w, haveW = f, true
+		if up.Len() == 0 || f < w {
+			w = f
 		}
+		up.Add(proc.ID(i))
 	}
-	if !haveW {
+	if up.Len() == 0 {
 		return // nothing decided anywhere yet: no observation to record
 	}
 	lo := uint64(0)
 	if w+1 > hashWindow {
 		lo = w + 1 - hashWindow
 	}
-	up := proc.NewSet()
 	cells := make(map[proc.ID]chaos.DecisionCell, len(s.reps))
 	for i, r := range s.reps {
-		if _, ok := r.Frontier(); !ok {
+		if !up.Has(proc.ID(i)) {
 			continue
 		}
 		h := uint64(14695981039346656037)
@@ -447,7 +449,6 @@ func (s *Shard) pollLocked() {
 				mix(0)
 			}
 		}
-		up.Add(proc.ID(i))
 		cells[proc.ID(i)] = chaos.DecisionCell{OK: true, Round: w, Val: int64(h)}
 	}
 	s.rec.Observe(up, cells)
