@@ -17,9 +17,8 @@
 // reasoned escape hatches (see internal/analysis). -tier selects one
 // tier's analyzers (the directive check always runs); -workers sizes
 // the loader pool — output is byte-identical for any worker count.
-// -json emits a machine-readable report with stable ordering,
-// mirroring cmd/benchbase's gate pattern: CI runs it as a blocking
-// step and uploads the report as an artifact.
+// -json emits a machine-readable report with stable ordering: CI runs
+// it as a blocking step and uploads the report as an artifact.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error.
 package main

@@ -74,9 +74,8 @@ type IncrementalChecker struct {
 
 	// Open segment.
 	segStart   int
-	segCoterie proc.Set // clone, for boundary detection and error text
+	segCoterie proc.Set // clone, for the Segment it closes into and error text
 	segErr     error    // first violation inside the open segment
-	nextMark   int      // next h.MarkAt index to consume
 	scan       windowScan
 
 	// Closed segments, in order.
@@ -131,15 +130,7 @@ func (ic *IncrementalChecker) append(t int) {
 	if ic.stabErr != nil {
 		return
 	}
-	// De-stabilizing boundary at t: a coterie change, or the first round
-	// executed after a recorded systemic mark — the same test
-	// history.StableSegments applies.
-	boundary := !ic.h.CoterieAtView(t).Equal(ic.segCoterie)
-	for ic.nextMark < ic.h.MarkCount() && ic.h.MarkAt(ic.nextMark)+1 <= t {
-		boundary = true
-		ic.nextMark++
-	}
-	if boundary {
+	if ic.h.OpensSegment(ic.segStart, t) {
 		ic.closeSegment(t - 1)
 		ic.openSegment(t)
 	}

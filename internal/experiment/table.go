@@ -136,7 +136,7 @@ func DefaultConfig() Config {
 	return Config{Seeds: 100, Rounds: 60, HorizonMS: 1200}
 }
 
-// QuickConfig returns a small configuration for benchmarks and smoke runs.
+// QuickConfig returns a small configuration for tests and smoke runs.
 func QuickConfig() Config {
 	return Config{Seeds: 10, Rounds: 40, HorizonMS: 800}
 }

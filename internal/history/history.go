@@ -25,6 +25,7 @@ package history
 
 import (
 	"fmt"
+	"slices"
 
 	"ftss/internal/proc"
 	"ftss/internal/sim/round"
@@ -311,29 +312,26 @@ func (h *History) SystemicFailureMarks() []int {
 	return append([]int(nil), h.marks...)
 }
 
-// MarkCount returns how many systemic-failure marks have been recorded.
-// Incremental checkers poll it per append instead of copying the list.
-func (h *History) MarkCount() int { return len(h.marks) }
-
-// MarkAt returns the i'th recorded mark (a prefix length), 0-indexed in
-// recording order.
-func (h *History) MarkAt(i int) int { return h.marks[i] }
+// OpensSegment reports whether prefix t (start < t ≤ Len()) opens a new
+// stable segment after the one whose first prefix is start. The boundary
+// is a de-stabilizing event: a coterie change, or the first round executed
+// after a recorded systemic failure. StableSegments and core's incremental
+// checker both cut their segments here.
+func (h *History) OpensSegment(start, t int) bool {
+	if !h.coterie[t].Equal(h.coterie[start]) {
+		return true
+	}
+	_, marked := slices.BinarySearch(h.marks, t-1) // marks never decrease
+	return marked
+}
 
 // StableSegments partitions prefix lengths 0..Len() into maximal stable
-// segments, in order. A segment boundary is a de-stabilizing event: a
-// coterie change, or the first round executed after a recorded systemic
-// failure.
+// segments, in order, cut where OpensSegment says.
 func (h *History) StableSegments() []Segment {
-	marked := make(map[int]bool, len(h.marks))
-	for _, m := range h.marks {
-		if m+1 <= h.Len() {
-			marked[m+1] = true
-		}
-	}
 	var segs []Segment
 	start := 0
 	for t := 1; t <= h.Len(); t++ {
-		if !h.coterie[t].Equal(h.coterie[start]) || marked[t] {
+		if h.OpensSegment(start, t) {
 			segs = append(segs, Segment{Start: start, End: t - 1, Coterie: h.coterie[start].Clone()})
 			start = t
 		}

@@ -5,8 +5,8 @@ import "ftss/internal/obs"
 // Instruments holds the engine's telemetry hooks. All fields are
 // optional: nil counters ignore updates and a nil Sink suppresses the
 // event stream. An engine with no Instruments attached pays one nil
-// check per Step and allocates nothing extra — the
-// BenchmarkEngineStepInstrumented/disabled gate pins this down.
+// check per Step and allocates nothing extra —
+// TestInstrumentedDisabledAllocationCeiling pins this down.
 type Instruments struct {
 	// Rounds counts engine steps executed.
 	Rounds *obs.Counter

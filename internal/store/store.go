@@ -11,7 +11,8 @@
 // sequence) — shards share no state, fail independently (the paper's
 // Definition 2.4 verdict is computed per shard from its own poll
 // trace), and scale by addition: aggregate capacity in simulated time
-// is N × one group's throughput, which BenchmarkStoreShards pins.
+// is N × one group's throughput, as E15 tabulates; the inproc-batch
+// workload of the repo benchmark measures it in wall-clock time.
 //
 // Concurrency model: every Shard is a monitor (one mutex over all
 // state); the Store's driver fans shards across a bounded worker pool
