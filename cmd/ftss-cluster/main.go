@@ -47,6 +47,7 @@ import (
 	"ftss/internal/chaos"
 	"ftss/internal/cli"
 	"ftss/internal/cluster"
+	"ftss/internal/core"
 	"ftss/internal/obs"
 	"ftss/internal/proc"
 	"ftss/internal/trace"
@@ -458,5 +459,5 @@ func verdict(plan *chaos.Plan, p params, w io.Writer) error {
 	} else {
 		fmt.Fprintf(w, "measured stabilization budget: %d of %d polls\n", budget, rec.Polls())
 	}
-	return trace.Verdict(w, rec.History(), chaos.StableAgreement, budget)
+	return trace.VerdictFrom(w, core.EvalIncremental(rec.History(), chaos.StableAgreement, budget))
 }

@@ -1,11 +1,11 @@
 // Command ftss-lint statically enforces the repo's determinism and
 // concurrency contracts (DESIGN.md §5 "Determinism lint" and §11
 // "Concurrency lint tier"). It loads every package named by go-style
-// patterns across a worker pool, runs the internal/analysis suite —
-// the det tier (nowallclock, seededrand, maporder, nogoroutine,
-// clonealias), the conc tier (guardedby, atomicmix, chandiscipline,
-// waitbalance), and the tier-independent directive well-formedness
-// check — and reports file:line diagnostics:
+// patterns through one loader, runs the internal/analysis suite — the
+// det tier (nowallclock, seededrand, maporder, nogoroutine, clonealias),
+// the conc tier (guardedby, atomicmix, chandiscipline, waitbalance), and
+// the tier-independent directive well-formedness check — and reports
+// file:line diagnostics:
 //
 //	go run ./cmd/ftss-lint ./...
 //	go run ./cmd/ftss-lint -tier conc ./...
@@ -15,10 +15,9 @@
 // header annotations (every internal/... package must carry exactly
 // one); //ftss:orderless, //ftss:pool, and //ftss:unguarded are the
 // reasoned escape hatches (see internal/analysis). -tier selects one
-// tier's analyzers (the directive check always runs); -workers sizes
-// the loader pool — output is byte-identical for any worker count.
-// -json emits a machine-readable report with stable ordering: CI runs
-// it as a blocking step and uploads the report as an artifact.
+// tier's analyzers (the directive check always runs). -json emits a
+// machine-readable report with stable ordering: CI runs it as a blocking
+// step and uploads the report as an artifact.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error.
 package main
@@ -59,7 +58,6 @@ func run(args []string, w io.Writer) (int, error) {
 	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON report")
 	root := fs.String("root", ".", "module root `dir` (holds go.mod)")
 	tier := fs.String("tier", "all", "analyzer tier to run: all, det, or conc (directive checks always run)")
-	workers := fs.Int("workers", 0, "loader pool size (0 = GOMAXPROCS); output is identical for any value")
 	if err := fs.Parse(args); err != nil {
 		return 2, nil // flag package already printed usage
 	}
@@ -76,7 +74,7 @@ func run(args []string, w io.Writer) (int, error) {
 		return 2, err
 	}
 	analyzers := analysis.ForTier(*tier)
-	pkgs, diags, err := analysis.LintDirs(*root, dirs, *workers, analyzers)
+	pkgs, diags, err := analysis.LintDirs(*root, dirs, analyzers)
 	if err != nil {
 		return 2, err
 	}

@@ -98,20 +98,6 @@ func TestStableOutput(t *testing.T) {
 	}
 }
 
-// TestWorkersByteIdentical is the acceptance gate for the parallel
-// loader: the merged report is byte-for-byte the same for any -workers
-// value, including the sequential path.
-func TestWorkersByteIdentical(t *testing.T) {
-	dirs := []string{wallclockFixture, guardedbyFixture, cleanFixture}
-	_, seq := runLint(t, append([]string{"-json", "-workers", "1"}, dirs...)...)
-	for _, w := range []string{"2", "8"} {
-		_, par := runLint(t, append([]string{"-json", "-workers", w}, dirs...)...)
-		if par != seq {
-			t.Errorf("-workers %s output differs from -workers 1:\n--- workers=1\n%s\n--- workers=%s\n%s", w, seq, w, par)
-		}
-	}
-}
-
 // TestTierFilter pins the -tier flag: the conc tier flags the guardedby
 // fixture, the det tier passes it (conc analyzers filtered out), and
 // the report records which tier ran.

@@ -1,9 +1,9 @@
 // Command ftss-live runs the §3 stabilizing consensus on REAL goroutines
 // and channels (the internal/sim/live runtime) rather than the
 // deterministic simulator: one goroutine per process, unbounded mailboxes,
-// wall-clock ticks, optional artificial delays, crash timers, and
-// corrupted initial states. It polls the decision registers until they
-// stabilize or the deadline passes.
+// wall-clock ticks, optional artificial delays, a crash schedule applied
+// through Runtime.Apply, and corrupted initial states. It polls the
+// decision registers until they stabilize or the deadline passes.
 //
 // Usage:
 //
@@ -22,6 +22,7 @@ import (
 	"os"
 	"time"
 
+	"ftss/internal/chaos"
 	"ftss/internal/cli"
 	"ftss/internal/ctcons"
 	"ftss/internal/detector"
@@ -63,11 +64,13 @@ func run(args []string) (err error) {
 
 	crashAtVirtual := map[proc.ID]async.Time{}
 	crashAfter := map[proc.ID]time.Duration{}
+	var kills []chaos.Action // ascending At, as Apply requires
 	for i := 0; i < *crashes; i++ {
 		id := proc.ID(*n - 1 - i)
 		after := time.Duration(30+20*i) * time.Millisecond
 		crashAfter[id] = after
 		crashAtVirtual[id] = async.Time(after / time.Microsecond)
+		kills = append(kills, chaos.Action{At: after, Kind: chaos.ActKill, P: id})
 	}
 	weak := &detector.SimulatedWeak{
 		N: *n, CrashAt: crashAtVirtual,
@@ -94,17 +97,17 @@ func run(args []string) (err error) {
 		return err
 	}
 	rt := live.MustNew(aps, live.Config{
-		Seed:       *seed,
-		TickEvery:  *tick,
-		MinDelay:   100 * time.Microsecond,
-		MaxDelay:   500 * time.Microsecond,
-		CrashAfter: crashAfter,
-		Obs:        live.NewInstruments(reg, "live", tel.Sink()),
+		Seed:      *seed,
+		TickEvery: *tick,
+		MinDelay:  100 * time.Microsecond,
+		MaxDelay:  500 * time.Microsecond,
+		Obs:       live.NewInstruments(reg, "live", tel.Sink()),
 	})
 	fmt.Printf("live cluster: %d goroutines, inputs %v, crash schedule %v, corrupted=%v\n",
 		*n, inputs, crashAfter, *corrupt)
 	rt.Start()
 	defer rt.Stop()
+	rt.Apply(kills, nil)
 	stop := cli.Shutdown("ftss-live")
 	start := time.Now()
 	var stableSince time.Time

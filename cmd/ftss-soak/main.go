@@ -12,7 +12,7 @@
 // whole run is additionally folded into the paper's Definition 2.4
 // machinery — each poll is one observed round, each episode a systemic
 // failure mark — and the final verdict comes from the same
-// core.CheckFTSS / trace.Verdict path the simulators use.
+// core.EvalIncremental / trace.VerdictFrom path the simulators use.
 //
 // The fault schedule is a pure function of -seed: a failing run is
 // reproduced by re-running with the seed it printed at startup.
@@ -86,8 +86,9 @@ func buildPlan(seed int64, n, episodes int, episodeLen, quietLen time.Duration) 
 var errInterrupted = errors.New("interrupted")
 
 // soakParams is one soak run's full configuration. reg and sink are nil
-// when telemetry is off; with -runs, reg is shared (counters aggregate
-// across runs) while each run gets its own buffered sink.
+// when telemetry is off; with -runs, each run gets its own registry
+// (merged into the shared one when the run ends, so its health lines
+// count that run alone) and its own buffered sink.
 type soakParams struct {
 	seed       int64
 	n          int
@@ -165,6 +166,10 @@ func soakMany(p soakParams, runs, workers int, w io.Writer, eventsW io.Writer) e
 		if eventsW != nil {
 			pi.sink = obs.NewJSONL(&evs[i])
 		}
+		if p.reg != nil {
+			pi.reg = obs.NewRegistry()
+			defer p.reg.Merge("", pi.reg)
+		}
 		return soak(pi, &outs[i])
 	})
 
@@ -230,7 +235,7 @@ func soak(p soakParams, w io.Writer) error {
 	consRT := live.MustNew(consProcs, live.Config{
 		Seed: seed, TickEvery: p.tick,
 		MinDelay: 50 * time.Microsecond, MaxDelay: 200 * time.Microsecond,
-		Nemesis: plan, MailboxCap: p.cap, Overflow: live.DropOldest,
+		Nemesis: plan, MailboxCap: p.cap,
 		Obs: consObs,
 	})
 
@@ -245,7 +250,7 @@ func soak(p soakParams, w io.Writer) error {
 	smrRT := live.MustNew(smrProcs, live.Config{
 		Seed: seed + 1, TickEvery: p.tick,
 		MinDelay: 50 * time.Microsecond, MaxDelay: 200 * time.Microsecond,
-		Nemesis: plan, MailboxCap: p.cap, Overflow: live.DropOldest,
+		Nemesis: plan, MailboxCap: p.cap,
 		Obs: smrObs,
 	})
 
@@ -388,6 +393,9 @@ func soak(p soakParams, w io.Writer) error {
 		fmt.Fprintf(w, "replicated log: common decided frontier %d\n", f)
 	}
 
+	// Stopped first, so the health lines are the runs' final counts.
+	consRT.Stop()
+	smrRT.Stop()
 	fmt.Fprintf(w, "consensus %s\n", consRT.Health())
 	fmt.Fprintf(w, "log       %s\n", smrRT.Health())
 

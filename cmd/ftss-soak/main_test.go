@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -154,5 +156,44 @@ func TestMetricsDeltaSumMatchesExit(t *testing.T) {
 func TestMetricsIntervalNeedsMetrics(t *testing.T) {
 	if err := run([]string{"-metrics-interval", "50ms"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("-metrics-interval without -metrics accepted")
+	}
+}
+
+// TestMultiRunHealthIsPerRun: concurrent -runs count into their own
+// registries, so each run's health line reports that run alone, and the
+// exit snapshot still aggregates them: its cons.sent is the sum of the
+// runs' health-line values.
+func TestMultiRunHealthIsPerRun(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "metrics.txt")
+	var out bytes.Buffer
+	err := run([]string{
+		"-seed", "5", "-n", "5", "-episodes", "1", "-runs", "2", "-workers", "2",
+		"-episode-len", "60ms", "-quiet-len", "400ms", "-tick", "1ms",
+		"-metrics", metrics,
+	}, &out)
+	if err != nil {
+		// A quiet window missed under load is not what this test pins; the
+		// health lines and the snapshot are written either way.
+		t.Logf("soak: %v", err)
+	}
+	var sum uint64
+	lines := regexp.MustCompile(`consensus health: sent=(\d+) `).FindAllStringSubmatch(out.String(), -1)
+	if len(lines) != 2 {
+		t.Fatalf("%d consensus health lines, want 2:\n%s", len(lines), out.String())
+	}
+	for _, m := range lines {
+		n, _ := strconv.ParseUint(m[1], 10, 64)
+		if n == 0 {
+			t.Fatalf("a run reported no traffic:\n%s", out.String())
+		}
+		sum += n
+	}
+	snap, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "counter cons.sent " + strconv.FormatUint(sum, 10) + "\n"
+	if !strings.Contains(string(snap), want) {
+		t.Errorf("snapshot lacks %q (the runs' sum):\n%s", want, snap)
 	}
 }

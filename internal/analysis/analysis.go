@@ -36,7 +36,7 @@
 // Everything here is stdlib-only (go/parser, go/ast, go/types): the
 // module stays dependency-free.
 //
-//ftss:det diagnostics are CI-gated artifacts and must be byte-identical across runs and worker counts
+//ftss:det diagnostics are CI-gated artifacts and must be byte-identical across runs
 package analysis
 
 import (

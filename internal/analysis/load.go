@@ -27,7 +27,6 @@ type Loader struct {
 	ModPath string
 
 	std     types.Importer
-	shared  *sharedImports            // non-nil in pool loaders: cross-worker import cache
 	typesBy map[string]*types.Package // by import path
 	pkgsBy  map[string]*Package       // by absolute directory
 	loading map[string]bool           // cycle guard, by absolute directory
@@ -56,21 +55,6 @@ func NewLoader(modRoot string) (*Loader, error) {
 	return l, nil
 }
 
-// newPoolLoader builds a worker's loader for LintDirs: it shares the
-// fileset and the single-flight import cache with its sibling workers,
-// so every dependency is type-checked once per run rather than once per
-// worker. Only the worker that owns the loader may call into it.
-func newPoolLoader(modRoot string, fset *token.FileSet, shared *sharedImports) (*Loader, error) {
-	l, err := NewLoader(modRoot)
-	if err != nil {
-		return nil, err
-	}
-	l.Fset = fset
-	l.std = nil // dependency resolution goes through shared instead
-	l.shared = shared
-	return l, nil
-}
-
 // modulePath extracts the module path from a go.mod file.
 func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)
@@ -87,9 +71,7 @@ func modulePath(gomod string) (string, error) {
 }
 
 // Import implements types.Importer for the dependencies of packages
-// under analysis. Pool loaders route every dependency through the
-// cross-worker single-flight cache; completed types.Packages are safe
-// for the concurrent reads the sibling type-checkers do with them.
+// under analysis.
 func (l *Loader) Import(ipath string) (*types.Package, error) {
 	if tp, ok := l.typesBy[ipath]; ok {
 		return tp, nil
@@ -98,45 +80,19 @@ func (l *Loader) Import(ipath string) (*types.Package, error) {
 		return types.Unsafe, nil
 	}
 	if dir := l.localDir(ipath); dir != "" {
-		load := func() (*types.Package, error) {
-			p, err := l.LoadDir(dir)
-			if err != nil {
-				return nil, err
-			}
-			return p.Types, nil
-		}
-		if l.shared == nil {
-			return load()
-		}
-		tp, err := l.shared.resolve(ipath, load)
+		p, err := l.LoadDir(dir)
 		if err != nil {
 			return nil, err
 		}
-		l.typesBy[ipath] = tp
-		return tp, nil
+		return p.Types, nil
 	}
 	// Stdlib (or at least non-module): a failed import degrades to an
 	// empty placeholder so analysis of the importer proceeds on
 	// package-local type information instead of dying.
-	load := func() (*types.Package, error) {
-		var tp *types.Package
-		var err error
-		if l.shared != nil {
-			tp, err = l.shared.stdImport(ipath)
-		} else {
-			tp, err = l.std.Import(ipath)
-		}
-		if err != nil || tp == nil {
-			tp = types.NewPackage(ipath, path.Base(ipath))
-			tp.MarkComplete()
-		}
-		return tp, nil
-	}
-	var tp *types.Package
-	if l.shared != nil {
-		tp, _ = l.shared.resolve(ipath, load) // load never errors: failures become placeholders
-	} else {
-		tp, _ = load()
+	tp, err := l.std.Import(ipath)
+	if err != nil || tp == nil {
+		tp = types.NewPackage(ipath, path.Base(ipath))
+		tp.MarkComplete()
 	}
 	l.typesBy[ipath] = tp
 	return tp, nil
@@ -327,4 +283,25 @@ func Expand(root string, patterns []string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
+}
+
+// LintDirs loads the packages of the given directories (as returned by
+// Expand) through one Loader and runs the analyzers over them. It
+// returns the packages in directory order and the sorted diagnostics;
+// the first load error in directory order wins. One loader is all a run
+// needs: type-checking the standard library from source dominates, and
+// the source importer is not safe for concurrent use, so loading the
+// packages in parallel measured no faster.
+func LintDirs(modRoot string, dirs []string, analyzers []*Analyzer) ([]*Package, []Diagnostic, error) {
+	l, err := NewLoader(modRoot)
+	if err != nil {
+		return nil, nil, err
+	}
+	pkgs := make([]*Package, len(dirs))
+	for i, d := range dirs {
+		if pkgs[i], err = l.LoadDir(d); err != nil {
+			return nil, nil, err
+		}
+	}
+	return pkgs, LintWith(pkgs, analyzers), nil
 }

@@ -16,9 +16,9 @@ import (
 // register. Treating each poll as one observed "round" — with chaos
 // episodes and restarts-from-garbage recorded as systemic failure marks —
 // yields a history.History the existing core.CheckFTSS /
-// trace.Verdict machinery evaluates verbatim: after every de-stabilizing
-// event the system must re-satisfy Σ within the stabilization budget and
-// keep satisfying it until the next event.
+// trace.VerdictFrom machinery evaluates verbatim: after every
+// de-stabilizing event the system must re-satisfy Σ within the
+// stabilization budget and keep satisfying it until the next event.
 
 // DecisionCell is the externally observable state of one process at one
 // poll: its decision register.

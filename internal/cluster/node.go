@@ -123,8 +123,8 @@ func RunNode(cfg NodeConfig, tel *cli.Telemetry, stop <-chan struct{}, w io.Writ
 		N:          cfg.N,
 		Router:     func(from, to proc.ID, payload any) { tr.Send(to, payload) },
 		Nemesis:    &TickFaults{Plan: plan, Since: cfg.Since},
-		MailboxCap: cfg.MailboxCap, Overflow: live.DropOldest,
-		Obs: ins,
+		MailboxCap: cfg.MailboxCap,
+		Obs:        ins,
 	})
 	tr, err := transport.New(transport.Config{
 		Self:   cfg.ID,
@@ -144,7 +144,15 @@ func RunNode(cfg NodeConfig, tel *cli.Telemetry, stop <-chan struct{}, w io.Writ
 	defer rt.Stop()
 	rt.Apply(LocalActions(plan, cfg.ID, cfg.Since), rand.New(rand.NewSource(cfg.Seed*13+int64(cfg.ID))))
 
-	if err := tel.Serve(fmt.Sprintf("node %d: ", int(cfg.ID)), reg.Snapshot,
+	// Every render mirrors the transport's current counters beside the
+	// runtime's, so /metrics shows the wire layer mid-run too.
+	snapshot := func() []byte {
+		r := obs.NewRegistry()
+		r.Merge("", reg)
+		mirrorStats(r, tr.Stats())
+		return r.Snapshot()
+	}
+	if err := tel.Serve(fmt.Sprintf("node %d: ", int(cfg.ID)), snapshot,
 		func() (bool, []byte) { return nodeHealth(rt, cfg.ID) }); err != nil {
 		return err
 	}
@@ -199,10 +207,8 @@ poll:
 	}
 
 	// Final report: health, transport, decision — on both the natural
-	// horizon and a graceful shutdown. The transport counters join the
-	// registry here, ahead of the session's exit snapshot.
+	// horizon and a graceful shutdown.
 	stats := tr.Stats()
-	mirrorStats(reg, stats)
 	sink.Emit(obs.Event{Kind: "node_done", T: k, P: int(cfg.ID),
 		Fields: []obs.KV{{K: "stopped", V: boolInt(stopped)}}})
 	fmt.Fprintf(w, "node %d: %v\n", int(cfg.ID), rt.Health())
@@ -239,8 +245,8 @@ func decision(rt *live.Runtime, id proc.ID) (ctcons.Value, uint64, bool) {
 	return v, r, ok
 }
 
-// mirrorStats folds the transport counters into the registry so the
-// -metrics snapshot covers the wire layer alongside the runtime.
+// mirrorStats adds the transport counters to the registry so a metrics
+// render covers the wire layer alongside the runtime.
 func mirrorStats(reg *obs.Registry, s transport.Stats) {
 	reg.Counter("wire.frames_sent").Add(s.FramesSent)
 	reg.Counter("wire.frames_recv").Add(s.FramesRecv)

@@ -186,9 +186,10 @@ func TestRunNodeGracefulStop(t *testing.T) {
 	}
 }
 
-// TestNodeAdminPlane: a node run with -admin serves live /metrics,
-// flips /healthz to 200 once its process decides, and tails the event
-// stream on /events — all scraped mid-run, not post-mortem.
+// TestNodeAdminPlane: a node run with -admin serves live /metrics (the
+// runtime's and the transport's counters), flips /healthz to 200 once
+// its process decides, and tails the event stream on /events — all
+// scraped mid-run, not post-mortem.
 func TestNodeAdminPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a real loopback cluster")
@@ -256,7 +257,8 @@ func TestNodeAdminPlane(t *testing.T) {
 		t.Fatal("/healthz never reached 200 before the horizon")
 	}
 	if code, body, err := get("/metrics"); err != nil || code != 200 ||
-		!bytes.Contains(body, []byte("counter node.sent")) {
+		!bytes.Contains(body, []byte("counter node.sent")) ||
+		!bytes.Contains(body, []byte("counter wire.frames_sent")) {
 		t.Fatalf("/metrics = %d %v %q", code, err, body)
 	}
 	if code, body, err := get("/events"); err != nil || code != 200 ||

@@ -1,7 +1,6 @@
 // Package pool is the repo's one bounded worker pool: the experiment
 // repetitions, the store's shard drive and the soak's multi-run fan-out
-// all go through Run. (analysis.LintDirs keeps its own loop: it needs
-// per-worker loader state.)
+// all go through Run.
 //
 //ftss:det results land by index, so callers see the output of a sequential loop whatever the worker count
 package pool

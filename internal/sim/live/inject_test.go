@@ -60,7 +60,8 @@ func (p *pusher) OnMessage(async.Context, proc.ID, any) {}
 
 // plugAndFlood drives one run: deliver a plug message via send, wait for
 // the gate's worker to block on it, then deliver cap+extra more and
-// return the resulting overflow drop count for process 1.
+// return the resulting overflow drop count (process 1 is the only
+// receiver, so the runtime total is its count).
 func plugAndFlood(t *testing.T, rt *Runtime, g *gate, send func(i int), total int) uint64 {
 	t.Helper()
 	send(0)
@@ -79,11 +80,11 @@ func plugAndFlood(t *testing.T, rt *Runtime, g *gate, send func(i int), total in
 	var drops uint64
 	for time.Now().Before(deadline) {
 		h := rt.Health()
-		drops = h.OverflowDropped[1]
+		drops = h.OverflowDropped
 		if h.Sent >= uint64(total)+1 {
 			// One more health read after a settle so late puts count.
 			time.Sleep(10 * time.Millisecond)
-			drops = rt.Health().OverflowDropped[1]
+			drops = rt.Health().OverflowDropped
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -94,7 +95,7 @@ func plugAndFlood(t *testing.T, rt *Runtime, g *gate, send func(i int), total in
 }
 
 // TestOverflowAccountingChannelVsInject pins satellite behavior: the
-// DropOldest policy must account identically whether a message reached
+// drop-oldest rule must account identically whether a message reached
 // the mailbox from an in-process Send or from Runtime.Inject (the socket
 // path). With the receiver blocked and cap+extra messages queued behind
 // the block, exactly `extra` drops must be recorded on both paths.
@@ -116,7 +117,7 @@ func TestOverflowAccountingChannelVsInject(t *testing.T) {
 		p := &pusher{id: 0, cmds: make(chan int, 16)}
 		rt := MustNew([]async.Proc{p, g}, Config{
 			Seed: 11, TickEvery: 100 * time.Microsecond,
-			MailboxCap: cap, Overflow: DropOldest,
+			MailboxCap: cap,
 		})
 		return rt, func(int) { p.cmds <- 1 }
 	})
@@ -124,7 +125,7 @@ func TestOverflowAccountingChannelVsInject(t *testing.T) {
 	sockDrops := run("inject", func(g *gate) (*Runtime, func(i int)) {
 		rt := MustNew([]async.Proc{g}, Config{
 			Seed: 11, TickEvery: 100 * time.Microsecond,
-			MailboxCap: cap, Overflow: DropOldest,
+			MailboxCap: cap,
 		})
 		return rt, func(i int) {
 			if !rt.Inject(0, 1, i) {

@@ -7,9 +7,10 @@ import (
 	"ftss/internal/proc"
 )
 
-// Instruments holds the live runtime's telemetry hooks, attached via
-// Config.Obs. Nil counters and a nil Sink are no-ops, and a runtime with
-// no Instruments pays one nil check per hook site.
+// Instruments holds the live runtime's counters and event sink, attached
+// via Config.Obs. They are the runtime's only books: Health reads them,
+// and a runtime built without them counts into a private registry.
+// A nil Sink emits nothing.
 //
 // The live runtime is the repo's non-deterministic backend, so unlike
 // the simulator hooks its events are stamped with elapsed microseconds
@@ -20,7 +21,7 @@ type Instruments struct {
 	Sent, Delivered *obs.Counter
 	// ChaosDropped and ChaosDuplicated count Nemesis verdicts applied.
 	ChaosDropped, ChaosDuplicated *obs.Counter
-	// OverflowDropped counts DropOldest mailbox evictions.
+	// OverflowDropped counts full-mailbox evictions.
 	OverflowDropped *obs.Counter
 	// Kills, Restarts, and Panics count supervision events.
 	Kills, Restarts, Panics *obs.Counter
@@ -60,9 +61,9 @@ func (rt *Runtime) elapsedMicros() uint64 {
 
 // emit sends a supervision event if a sink is attached.
 func (rt *Runtime) emit(kind string, p proc.ID, detail string) {
-	ins := rt.cfg.Obs
-	if ins == nil || ins.Sink == nil {
+	sink := rt.cfg.Obs.Sink
+	if sink == nil {
 		return
 	}
-	ins.Sink.Emit(obs.Event{Kind: kind, T: rt.elapsedMicros(), P: int(p), Detail: detail})
+	sink.Emit(obs.Event{Kind: kind, T: rt.elapsedMicros(), P: int(p), Detail: detail})
 }

@@ -61,20 +61,20 @@ func TestInstrumentsTrafficAndSupervision(t *testing.T) {
 	}
 }
 
-// TestInstrumentsOverflowAndHighWater: a capped DropOldest mailbox under
+// TestInstrumentsOverflowAndHighWater: a capped mailbox under
 // a burst records overflow drops and a high-water mark ≤ cap.
 func TestInstrumentsOverflowAndHighWater(t *testing.T) {
 	reg := obs.NewRegistry()
 	ins := NewInstruments(reg, "live", nil)
 
 	rt := MustNew([]async.Proc{&counter{id: 0}}, Config{
-		Seed: 1, TickEvery: time.Hour, MailboxCap: 4, Overflow: DropOldest, Obs: ins,
+		Seed: 1, TickEvery: time.Hour, MailboxCap: 4, Obs: ins,
 	})
 	// Drive the mailbox directly (no goroutine draining it) so the
 	// overflow path is exercised deterministically.
 	m := rt.newMailboxFor(0)
 	for i := 0; i < 20; i++ {
-		m.put(item{from: 0, payload: i}, nil)
+		m.put(item{from: 0, payload: i})
 	}
 	if got := ins.OverflowDropped.Value(); got != 16 {
 		t.Errorf("overflow dropped = %d, want 16", got)

@@ -1,8 +1,8 @@
 // Package live runs asynchronous protocols (the async.Proc interface) on
 // real goroutines and channels instead of the deterministic discrete-event
 // engine. One goroutine per process serializes its callbacks; messages
-// travel through mailboxes (unbounded by default, boundable with a
-// configurable overflow policy), optionally delayed by a seeded random
+// travel through mailboxes (unbounded by default; a bounded mailbox drops
+// its oldest message when full), optionally delayed by a seeded random
 // duration.
 //
 // The runtime is supervised: every process callback runs under panic
@@ -36,41 +36,10 @@ import (
 
 	"ftss/internal/chaos"
 	"ftss/internal/failure"
+	"ftss/internal/obs"
 	"ftss/internal/proc"
 	"ftss/internal/sim/async"
 )
-
-// OverflowPolicy selects what a bounded mailbox does when full.
-type OverflowPolicy int
-
-const (
-	// Unbounded mailboxes never drop and never block (the default; a
-	// bounded channel could deadlock two processes sending to each
-	// other).
-	Unbounded OverflowPolicy = iota
-	// DropOldest discards the oldest queued message to admit the new one
-	// — the lossy-link policy; self-stabilizing protocols re-send, so
-	// the loss only delays them.
-	DropOldest
-	// Backpressure blocks the sender until the receiver drains. Beware:
-	// two processes flooding each other's full mailboxes deadlock until
-	// one is killed; prefer DropOldest for protocols that re-send.
-	Backpressure
-)
-
-// String implements fmt.Stringer.
-func (p OverflowPolicy) String() string {
-	switch p {
-	case Unbounded:
-		return "unbounded"
-	case DropOldest:
-		return "drop-oldest"
-	case Backpressure:
-		return "backpressure"
-	default:
-		return fmt.Sprintf("OverflowPolicy(%d)", int(p))
-	}
-}
 
 // Config parameterizes a Runtime.
 type Config struct {
@@ -82,16 +51,15 @@ type Config struct {
 	// MinDelay and MaxDelay bound the artificial message delay.
 	// Both zero means immediate handoff.
 	MinDelay, MaxDelay time.Duration
-	// CrashAfter schedules crash failures relative to Start. (Restart
-	// re-animates a crashed process; see Runtime.Restart.)
-	CrashAfter map[proc.ID]time.Duration
 	// Nemesis injects network and clock faults (nil = none).
 	Nemesis chaos.Nemesis
 	// MailboxCap bounds each mailbox's queued messages (0 = unbounded).
+	// A full mailbox discards its oldest message to admit the new one —
+	// the lossy-link rule; self-stabilizing protocols re-send, so the
+	// loss only delays them.
 	MailboxCap int
-	// Overflow selects the full-mailbox policy when MailboxCap > 0.
-	Overflow OverflowPolicy
-	// Obs holds optional telemetry hooks (nil = none); see Instruments.
+	// Obs holds the runtime's counters and event sink; Health renders
+	// those counters. Nil gets a private "live." registry with no sink.
 	Obs *Instruments
 	// N is the broadcast universe 0..N-1 for runtimes that host only a
 	// subset of it (a networked node hosts one process of an n-process
@@ -109,6 +77,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDelay < c.MinDelay {
 		c.MaxDelay = c.MinDelay
+	}
+	if c.Obs == nil {
+		c.Obs = NewInstruments(obs.NewRegistry(), "live", nil)
 	}
 	return c
 }
@@ -131,35 +102,14 @@ type mailbox struct {
 	//ftss:guardedby mu
 	closed bool
 	notify chan struct{} // new item available
-	space  chan struct{} // space freed (Backpressure wakeup)
-	done   chan struct{} // closed with the mailbox (unblocks putters)
 
-	cap    int
-	policy OverflowPolicy
-
-	//ftss:guardedby mu
-	highWater int
-	//ftss:guardedby mu
-	dropped uint64
-
-	rt    *Runtime // telemetry access; nil in direct unit tests
+	cap   int
+	rt    *Runtime
 	owner proc.ID
 }
 
-func newMailbox(cap int, policy OverflowPolicy) *mailbox {
-	return &mailbox{
-		notify: make(chan struct{}, 1),
-		space:  make(chan struct{}, 1),
-		done:   make(chan struct{}),
-		cap:    cap,
-		policy: policy,
-	}
-}
-
 func (rt *Runtime) newMailboxFor(id proc.ID) *mailbox {
-	m := newMailbox(rt.cfg.MailboxCap, rt.cfg.Overflow)
-	m.rt, m.owner = rt, id
-	return m
+	return &mailbox{notify: make(chan struct{}, 1), cap: rt.cfg.MailboxCap, rt: rt, owner: id}
 }
 
 func signal(ch chan struct{}) {
@@ -169,65 +119,35 @@ func signal(ch chan struct{}) {
 	}
 }
 
-// put enqueues it, honoring the overflow policy. Under Backpressure it
-// blocks until there is space, the mailbox closes, or cancel fires; it
-// reports whether the item was enqueued.
-func (m *mailbox) put(it item, cancel <-chan struct{}) bool {
-	for {
-		m.mu.Lock()
-		if m.closed {
-			m.mu.Unlock()
-			return false
-		}
-		bounded := m.cap > 0 && it.fn == nil
-		if !bounded || m.msgs < m.cap || m.policy == Unbounded {
-			m.enqueueLocked(it)
-			m.mu.Unlock()
-			signal(m.notify)
-			return true
-		}
-		if m.policy == DropOldest {
-			for i, old := range m.items {
-				if old.fn == nil {
-					copy(m.items[i:], m.items[i+1:])
-					m.items = m.items[:len(m.items)-1]
-					m.msgs--
-					m.dropped++
-					if m.rt != nil && m.rt.cfg.Obs != nil {
-						m.rt.cfg.Obs.OverflowDropped.Inc()
-						m.rt.emit("overflow_drop", m.owner, "")
-					}
-					break
-				}
-			}
-			m.enqueueLocked(it)
-			m.mu.Unlock()
-			signal(m.notify)
-			return true
-		}
-		// Backpressure: wait for space.
+// put enqueues it, first discarding the oldest queued message if a
+// message would overflow the bound. It reports whether the item was
+// enqueued (false once the mailbox is closed).
+func (m *mailbox) put(it item) bool {
+	ins := m.rt.cfg.Obs
+	m.mu.Lock()
+	if m.closed {
 		m.mu.Unlock()
-		select {
-		case <-m.space:
-		case <-m.done:
-			return false
-		case <-cancel:
-			return false
+		return false
+	}
+	if m.cap > 0 && it.fn == nil && m.msgs >= m.cap {
+		for i, old := range m.items {
+			if old.fn == nil {
+				m.items = append(m.items[:i], m.items[i+1:]...)
+				m.msgs--
+				ins.OverflowDropped.Inc()
+				m.rt.emit("overflow_drop", m.owner, "")
+				break
+			}
 		}
 	}
-}
-
-func (m *mailbox) enqueueLocked(it item) {
 	m.items = append(m.items, it)
 	if it.fn == nil {
 		m.msgs++
-		if m.msgs > m.highWater {
-			m.highWater = m.msgs
-			if m.rt != nil && m.rt.cfg.Obs != nil {
-				m.rt.cfg.Obs.MailboxHighWater.SetMax(int64(m.msgs))
-			}
-		}
+		ins.MailboxHighWater.SetMax(int64(m.msgs))
 	}
+	m.mu.Unlock()
+	signal(m.notify)
+	return true
 }
 
 func (m *mailbox) drain() []item {
@@ -236,72 +156,39 @@ func (m *mailbox) drain() []item {
 	m.items = nil
 	m.msgs = 0
 	m.mu.Unlock()
-	if len(items) > 0 {
-		signal(m.space)
-	}
 	return items
 }
 
 func (m *mailbox) close() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
 	m.closed = true
 	m.items = nil
 	m.msgs = 0
-	close(m.done)
 	m.mu.Unlock()
 }
 
-func (m *mailbox) stats() (highWater int, dropped uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.highWater, m.dropped
-}
-
-// Health is the runtime's operational report.
+// Health is the runtime's operational report: a reading of its
+// Instruments counters, aggregated over every process and incarnation.
 type Health struct {
-	// Restarts counts Runtime.Restart calls per process.
-	Restarts map[proc.ID]int
-	// Panics counts recovered callback panics per process (each one is a
-	// supervised in-place resume).
-	Panics map[proc.ID]int
-	// MailboxHighWater is the deepest each process's mailbox has been
-	// (across restarts, the maximum over incarnations).
-	MailboxHighWater map[proc.ID]int
-	// OverflowDropped counts messages discarded by the DropOldest policy.
-	OverflowDropped map[proc.ID]uint64
-	// ChaosDropped and ChaosDuplicated count Nemesis verdicts applied.
-	ChaosDropped, ChaosDuplicated uint64
 	// Sent and Delivered count messages offered to and dispatched from
 	// mailboxes.
 	Sent, Delivered uint64
+	// ChaosDropped and ChaosDuplicated count Nemesis verdicts applied.
+	ChaosDropped, ChaosDuplicated uint64
+	// Restarts counts Runtime.Restart calls; Panics counts recovered
+	// callback panics (each one is a supervised in-place resume).
+	Restarts, Panics uint64
+	// OverflowDropped counts messages discarded by full mailboxes.
+	OverflowDropped uint64
+	// MailboxHighWater is the deepest any mailbox has been.
+	MailboxHighWater int64
 }
 
 // String renders a compact single-run report.
 func (h Health) String() string {
-	restarts, panics := 0, 0
-	for _, v := range h.Restarts {
-		restarts += v
-	}
-	for _, v := range h.Panics {
-		panics += v
-	}
-	var overflow uint64
-	hw := 0
-	for _, v := range h.OverflowDropped {
-		overflow += v
-	}
-	for _, v := range h.MailboxHighWater {
-		if v > hw {
-			hw = v
-		}
-	}
 	return fmt.Sprintf(
 		"health: sent=%d delivered=%d chaos-dropped=%d chaos-duplicated=%d restarts=%d panics=%d overflow-dropped=%d mailbox-high-water=%d",
-		h.Sent, h.Delivered, h.ChaosDropped, h.ChaosDuplicated, restarts, panics, overflow, hw)
+		h.Sent, h.Delivered, h.ChaosDropped, h.ChaosDuplicated, h.Restarts, h.Panics, h.OverflowDropped, h.MailboxHighWater)
 }
 
 // Runtime hosts one goroutine per process, under supervision.
@@ -309,6 +196,7 @@ type Runtime struct {
 	cfg   Config
 	procs map[proc.ID]*worker
 	start time.Time
+	done  chan struct{} // closed by the first Stop
 
 	mu sync.Mutex
 	//ftss:guardedby mu
@@ -318,22 +206,8 @@ type Runtime struct {
 	//ftss:guardedby mu
 	stopped bool
 
-	//ftss:guardedby mu
-	restarts map[proc.ID]int
-	//ftss:guardedby mu
-	panics map[proc.ID]int
-	// retired accumulates mailbox stats of closed incarnations.
-	//ftss:guardedby mu
-	retiredHW map[proc.ID]int
-	//ftss:guardedby mu
-	retiredDrop map[proc.ID]uint64
-
-	wg sync.WaitGroup
-	//ftss:guardedby mu
-	timers []*time.Timer
-	seq    atomic.Uint64
-
-	sent, delivered, chaosDropped, chaosDuplicated atomic.Uint64
+	wg  sync.WaitGroup
+	seq atomic.Uint64
 }
 
 // worker supervises one process: its current mailbox, stop channel, and
@@ -360,13 +234,10 @@ type worker struct {
 func New(procs []async.Proc, cfg Config) (*Runtime, error) {
 	cfg = cfg.withDefaults()
 	rt := &Runtime{
-		cfg:         cfg,
-		procs:       make(map[proc.ID]*worker, len(procs)),
-		crashed:     proc.NewSet(),
-		restarts:    make(map[proc.ID]int),
-		panics:      make(map[proc.ID]int),
-		retiredHW:   make(map[proc.ID]int),
-		retiredDrop: make(map[proc.ID]uint64),
+		cfg:     cfg,
+		procs:   make(map[proc.ID]*worker, len(procs)),
+		done:    make(chan struct{}),
+		crashed: proc.NewSet(),
 	}
 	for i, p := range procs {
 		id := p.ID()
@@ -377,7 +248,6 @@ func New(procs []async.Proc, cfg Config) (*Runtime, error) {
 			rt:  rt,
 			id:  id,
 			p:   p,
-			box: rt.newMailboxFor(id),
 			rng: rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
 		}
 	}
@@ -393,8 +263,7 @@ func MustNew(procs []async.Proc, cfg Config) *Runtime {
 	return rt
 }
 
-// Start launches every process goroutine and arms the crash schedule.
-// It may be called once.
+// Start launches every process goroutine. It may be called once.
 func (rt *Runtime) Start() {
 	rt.mu.Lock()
 	if rt.started {
@@ -403,10 +272,6 @@ func (rt *Runtime) Start() {
 	}
 	rt.started = true
 	rt.start = time.Now()
-	for id, d := range rt.cfg.CrashAfter {
-		id := id
-		rt.timers = append(rt.timers, time.AfterFunc(d, func() { rt.Kill(id) }))
-	}
 	rt.mu.Unlock()
 
 	for _, w := range rt.procs {
@@ -414,8 +279,9 @@ func (rt *Runtime) Start() {
 	}
 }
 
-// launch starts a fresh incarnation of the worker's goroutine. The
-// caller must guarantee no other incarnation is running.
+// launch starts a fresh incarnation of the worker's goroutine with a
+// fresh mailbox. The caller must guarantee no other incarnation is
+// running.
 func (w *worker) launch() {
 	w.rt.mu.Lock()
 	stopped := w.rt.stopped
@@ -424,9 +290,7 @@ func (w *worker) launch() {
 		return
 	}
 	w.mu.Lock()
-	if w.box == nil {
-		w.box = w.rt.newMailboxFor(w.id)
-	}
+	w.box = w.rt.newMailboxFor(w.id)
 	w.stop = make(chan struct{})
 	w.exited = make(chan struct{})
 	w.alive = true
@@ -438,47 +302,41 @@ func (w *worker) launch() {
 }
 
 // halt stops the worker's current incarnation: marks it dead and closes
-// its mailbox and stop channel, all under w.mu. retire additionally
-// retires the mailbox (the Kill path), handing back its final stats and
-// clearing box so the next launch builds a fresh one. It returns the
+// its mailbox and stop channel, all under w.mu. It returns the
 // incarnation's exited channel and reports whether the worker was alive.
 // halt is the single closing owner of w.stop: Stop and Kill both route
 // through here, so the two paths can never double-close it on a racing
 // interleaving (the chandiscipline rule ftss-lint enforces).
-func (w *worker) halt(retire bool) (hw int, dropped uint64, exited chan struct{}, ok bool) {
+func (w *worker) halt() (exited chan struct{}, ok bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if !w.alive {
-		return 0, 0, nil, false
+		return nil, false
 	}
 	w.alive = false
 	w.box.close()
-	if retire {
-		hw, dropped = w.box.stats()
-		w.box = nil // next launch gets a fresh mailbox
-	}
 	close(w.stop)
-	return hw, dropped, w.exited, true
+	return w.exited, true
 }
 
-// Stop shuts down every goroutine and waits for them to exit. Safe to call
-// once after Start.
+// Stop shuts down every goroutine, cancels outstanding Apply actions, and
+// waits for the goroutines to exit. Further calls are no-ops.
 func (rt *Runtime) Stop() {
 	rt.mu.Lock()
-	if rt.stopped || !rt.started {
-		rt.stopped = true
+	if rt.stopped {
 		rt.mu.Unlock()
 		return
 	}
 	rt.stopped = true
-	timers := rt.timers
+	started := rt.started
+	close(rt.done)
 	rt.mu.Unlock()
-
-	for _, t := range timers {
-		t.Stop()
+	if !started {
+		return
 	}
+
 	for _, w := range rt.procs {
-		w.halt(false)
+		w.halt()
 	}
 	rt.wg.Wait()
 }
@@ -489,35 +347,29 @@ func (rt *Runtime) Stop() {
 // in-memory state is retained for a later Restart.
 func (rt *Runtime) Kill(id proc.ID) bool {
 	w, ok := rt.procs[id]
-	if !ok {
+	if !ok || !rt.running() {
 		return false
 	}
-	rt.mu.Lock()
-	if rt.stopped || !rt.started {
-		rt.mu.Unlock()
-		return false
-	}
-	rt.mu.Unlock()
-
-	hw, dropped, exited, ok := w.halt(true)
+	exited, ok := w.halt()
 	if !ok {
 		return false
 	}
 
 	rt.mu.Lock()
 	rt.crashed.Add(id)
-	if hw > rt.retiredHW[id] {
-		rt.retiredHW[id] = hw
-	}
-	rt.retiredDrop[id] += dropped
 	rt.mu.Unlock()
-	if rt.cfg.Obs != nil {
-		rt.cfg.Obs.Kills.Inc()
-		rt.emit("kill", id, "")
-	}
+	rt.cfg.Obs.Kills.Inc()
+	rt.emit("kill", id, "")
 
 	<-exited
 	return true
+}
+
+// running reports whether the runtime is started and not yet stopped.
+func (rt *Runtime) running() bool {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.started && !rt.stopped
 }
 
 // Restart re-animates a killed process. Its protocol resumes from
@@ -539,15 +391,9 @@ func (rt *Runtime) CorruptAndRestart(id proc.ID, rng *rand.Rand) bool {
 
 func (rt *Runtime) restart(id proc.ID, corrupt *rand.Rand) bool {
 	w, ok := rt.procs[id]
-	if !ok {
+	if !ok || !rt.running() {
 		return false
 	}
-	rt.mu.Lock()
-	if rt.stopped || !rt.started {
-		rt.mu.Unlock()
-		return false
-	}
-	rt.mu.Unlock()
 
 	w.mu.Lock()
 	if w.alive {
@@ -560,24 +406,19 @@ func (rt *Runtime) restart(id proc.ID, corrupt *rand.Rand) bool {
 		<-exited // never overlap incarnations: the old goroutine owns p's state
 	}
 
+	detail := ""
 	if corrupt != nil {
 		if c, ok := w.p.(failure.Corruptible); ok {
 			c.Corrupt(corrupt)
 		}
+		detail = "corrupt"
 	}
 
 	rt.mu.Lock()
 	rt.crashed.Remove(id)
-	rt.restarts[id]++
 	rt.mu.Unlock()
-	if rt.cfg.Obs != nil {
-		rt.cfg.Obs.Restarts.Inc()
-		detail := ""
-		if corrupt != nil {
-			detail = "corrupt"
-		}
-		rt.emit("restart", id, detail)
-	}
+	rt.cfg.Obs.Restarts.Inc()
+	rt.emit("restart", id, detail)
 
 	w.launch()
 	return true
@@ -598,23 +439,22 @@ func (rt *Runtime) CorruptInPlace(id proc.ID, rng *rand.Rand) bool {
 	return ok && struck
 }
 
-// Apply schedules a chaos action list (from chaos.Plan.Actions) against
-// the runtime: kills, restarts (optionally from corrupted state), and
-// in-place corruption fire at their offsets from Start. The returned
-// channel closes when every action has been applied; Stop cancels
-// outstanding ones. Call after Start. rng drives the corruption and must
-// not be used concurrently elsewhere.
+// Apply schedules a chaos action list (from chaos.Plan.Actions, or any
+// list sorted by At) against the runtime: kills, restarts (optionally
+// from corrupted state), and in-place corruption fire at their offsets
+// from Start. The returned channel closes when every action has been
+// applied; Stop cancels outstanding ones. Call after Start. rng drives
+// the corruption and must not be used concurrently elsewhere.
 func (rt *Runtime) Apply(actions []chaos.Action, rng *rand.Rand) <-chan struct{} {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for _, act := range actions {
-			d := time.Until(rt.start.Add(act.At))
-			if d > 0 {
+			if d := time.Until(rt.start.Add(act.At)); d > 0 {
 				timer := time.NewTimer(d)
 				select {
 				case <-timer.C:
-				case <-rt.stoppedCh():
+				case <-rt.done:
 					timer.Stop()
 					return
 				}
@@ -636,27 +476,8 @@ func (rt *Runtime) Apply(actions []chaos.Action, rng *rand.Rand) <-chan struct{}
 	return done
 }
 
-// stoppedCh returns a channel that is closed once the runtime stops.
-// (Polling granularity: the Apply loop re-checks between actions.)
-func (rt *Runtime) stoppedCh() <-chan struct{} {
-	ch := make(chan struct{})
-	go func() {
-		for {
-			rt.mu.Lock()
-			stopped := rt.stopped
-			rt.mu.Unlock()
-			if stopped {
-				close(ch)
-				return
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-	return ch
-}
-
-// Crashed returns the processes currently down (killed or crash-timer
-// fired, and not yet restarted).
+// Crashed returns the processes currently down (killed and not yet
+// restarted).
 func (rt *Runtime) Crashed() proc.Set {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -676,57 +497,19 @@ func (rt *Runtime) Up() proc.Set {
 	return up
 }
 
-// Correct returns the processes with no scheduled crash.
-func (rt *Runtime) Correct() proc.Set {
-	c := proc.NewSet()
-	for id := range rt.procs {
-		if _, dies := rt.cfg.CrashAfter[id]; !dies {
-			c.Add(id)
-		}
-	}
-	return c
-}
-
-// Health snapshots the runtime's operational counters.
+// Health reads the runtime's counters.
 func (rt *Runtime) Health() Health {
-	h := Health{
-		Restarts:         make(map[proc.ID]int),
-		Panics:           make(map[proc.ID]int),
-		MailboxHighWater: make(map[proc.ID]int),
-		OverflowDropped:  make(map[proc.ID]uint64),
+	ins := rt.cfg.Obs
+	return Health{
+		Sent:             ins.Sent.Value(),
+		Delivered:        ins.Delivered.Value(),
+		ChaosDropped:     ins.ChaosDropped.Value(),
+		ChaosDuplicated:  ins.ChaosDuplicated.Value(),
+		Restarts:         ins.Restarts.Value(),
+		Panics:           ins.Panics.Value(),
+		OverflowDropped:  ins.OverflowDropped.Value(),
+		MailboxHighWater: ins.MailboxHighWater.Value(),
 	}
-	rt.mu.Lock()
-	for id, n := range rt.restarts {
-		h.Restarts[id] = n
-	}
-	for id, n := range rt.panics {
-		h.Panics[id] = n
-	}
-	for id, hw := range rt.retiredHW {
-		h.MailboxHighWater[id] = hw
-	}
-	for id, d := range rt.retiredDrop {
-		h.OverflowDropped[id] = d
-	}
-	rt.mu.Unlock()
-	for id, w := range rt.procs {
-		w.mu.Lock()
-		box := w.box
-		w.mu.Unlock()
-		if box == nil {
-			continue
-		}
-		hw, dropped := box.stats()
-		if hw > h.MailboxHighWater[id] {
-			h.MailboxHighWater[id] = hw
-		}
-		h.OverflowDropped[id] += dropped
-	}
-	h.ChaosDropped = rt.chaosDropped.Load()
-	h.ChaosDuplicated = rt.chaosDuplicated.Load()
-	h.Sent = rt.sent.Load()
-	h.Delivered = rt.delivered.Load()
-	return h
 }
 
 // Inspect runs fn on p's own goroutine (so fn may safely read the
@@ -749,7 +532,7 @@ func (rt *Runtime) Inspect(id proc.ID, fn func(p async.Proc)) bool {
 	if !box.put(item{fn: func() {
 		fn(w.p)
 		close(done)
-	}}, stop) {
+	}}) {
 		return false
 	}
 	select {
@@ -763,7 +546,7 @@ func (rt *Runtime) Inspect(id proc.ID, fn func(p async.Proc)) bool {
 // Inject delivers a message that arrived from outside the runtime (a
 // socket transport, a bridged simulator) to the hosted process to. It
 // takes the exact same path as an in-process Send — worker.deliver into
-// the bounded mailbox, so the overflow policy and its accounting are
+// the bounded mailbox, so the overflow rule and its accounting are
 // identical whether a message crossed a channel or a socket. The Nemesis
 // is not consulted: for external arrivals, network faults belong to the
 // transport that carried them. It reports whether the message was
@@ -773,17 +556,13 @@ func (rt *Runtime) Inject(from, to proc.ID, payload any) bool {
 	if !ok {
 		return false
 	}
-	rt.sent.Add(1)
-	if ins := rt.cfg.Obs; ins != nil {
-		ins.Sent.Inc()
-	}
-	return w.deliver(item{from: from, payload: payload}, nil)
+	rt.cfg.Obs.Sent.Inc()
+	return w.deliver(item{from: from, payload: payload})
 }
 
 // deliver routes it into the worker's current mailbox (which may have
-// been replaced by a restart since the message was sent). cancel bounds a
-// Backpressure wait.
-func (w *worker) deliver(it item, cancel <-chan struct{}) bool {
+// been replaced by a restart since the message was sent).
+func (w *worker) deliver(it item) bool {
 	w.mu.Lock()
 	if !w.alive {
 		w.mu.Unlock()
@@ -791,7 +570,7 @@ func (w *worker) deliver(it item, cancel <-chan struct{}) bool {
 	}
 	box := w.box
 	w.mu.Unlock()
-	return box.put(it, cancel)
+	return box.put(it)
 }
 
 // run is one incarnation of the worker's goroutine. Callbacks execute
@@ -800,7 +579,7 @@ func (w *worker) deliver(it item, cancel <-chan struct{}) bool {
 func (w *worker) run(box *mailbox, stop, exited chan struct{}) {
 	defer w.rt.wg.Done()
 	defer close(exited)
-	ctx := &liveCtx{w: w, stop: stop}
+	ctx := &liveCtx{w: w}
 	timer := time.NewTimer(w.tickInterval())
 	defer timer.Stop()
 	for {
@@ -814,10 +593,7 @@ func (w *worker) run(box *mailbox, stop, exited chan struct{}) {
 					w.supervised(it.fn)
 					continue
 				}
-				w.rt.delivered.Add(1)
-				if ins := w.rt.cfg.Obs; ins != nil {
-					ins.Delivered.Inc()
-				}
+				w.rt.cfg.Obs.Delivered.Inc()
 				w.supervised(func() { w.p.OnMessage(ctx, it.from, it.payload) })
 			}
 		case <-timer.C:
@@ -831,13 +607,8 @@ func (w *worker) run(box *mailbox, stop, exited chan struct{}) {
 func (w *worker) supervised(f func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.rt.mu.Lock()
-			w.rt.panics[w.id]++
-			w.rt.mu.Unlock()
-			if w.rt.cfg.Obs != nil {
-				w.rt.cfg.Obs.Panics.Inc()
-				w.rt.emit("panic", w.id, "")
-			}
+			w.rt.cfg.Obs.Panics.Inc()
+			w.rt.emit("panic", w.id, "")
 		}
 	}()
 	f()
@@ -858,10 +629,7 @@ func (w *worker) tickInterval() time.Duration {
 	return d
 }
 
-type liveCtx struct {
-	w    *worker
-	stop chan struct{} // this incarnation's stop channel (Backpressure cancel)
-}
+type liveCtx struct{ w *worker }
 
 // Now implements async.Context: virtual time is wall time since Start, in
 // the engine's microsecond unit.
@@ -877,21 +645,16 @@ func (c *liveCtx) Rand() *rand.Rand { return c.w.rng }
 // later traffic).
 func (c *liveCtx) Send(to proc.ID, payload any) {
 	rt := c.w.rt
+	ins := rt.cfg.Obs
 	target, ok := rt.procs[to]
 	if !ok {
 		if rt.cfg.Router != nil {
-			rt.sent.Add(1)
-			if ins := rt.cfg.Obs; ins != nil {
-				ins.Sent.Inc()
-			}
+			ins.Sent.Inc()
 			rt.cfg.Router(c.w.p.ID(), to, payload)
 		}
 		return
 	}
-	rt.sent.Add(1)
-	if ins := rt.cfg.Obs; ins != nil {
-		ins.Sent.Inc()
-	}
+	ins.Sent.Inc()
 	it := item{from: c.w.p.ID(), payload: payload}
 	verdict := chaos.Deliver()
 	if rt.cfg.Nemesis != nil {
@@ -899,11 +662,8 @@ func (c *liveCtx) Send(to proc.ID, payload any) {
 		verdict = rt.cfg.Nemesis.Fate(time.Since(rt.start), seq, it.from, to)
 	}
 	if verdict.Drop {
-		rt.chaosDropped.Add(1)
-		if ins := rt.cfg.Obs; ins != nil {
-			ins.ChaosDropped.Inc()
-			rt.emit("nemesis_drop", to, "")
-		}
+		ins.ChaosDropped.Inc()
+		rt.emit("nemesis_drop", to, "")
 		return
 	}
 	copies := verdict.Copies
@@ -911,11 +671,8 @@ func (c *liveCtx) Send(to proc.ID, payload any) {
 		copies = 1
 	}
 	if copies > 1 {
-		rt.chaosDuplicated.Add(uint64(copies - 1))
-		if ins := rt.cfg.Obs; ins != nil {
-			ins.ChaosDuplicated.Add(uint64(copies - 1))
-			rt.emit("nemesis_dup", to, "")
-		}
+		ins.ChaosDuplicated.Add(uint64(copies - 1))
+		rt.emit("nemesis_dup", to, "")
 	}
 	for i := 0; i < copies; i++ {
 		delay := rt.cfg.MinDelay + verdict.ExtraDelay
@@ -923,10 +680,10 @@ func (c *liveCtx) Send(to proc.ID, payload any) {
 			delay += time.Duration(c.w.rng.Int63n(int64(span) + 1))
 		}
 		if delay <= 0 {
-			target.deliver(it, c.stop)
+			target.deliver(it)
 			continue
 		}
-		time.AfterFunc(delay, func() { target.deliver(it, nil) })
+		time.AfterFunc(delay, func() { target.deliver(it) })
 	}
 }
 

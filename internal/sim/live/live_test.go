@@ -2,9 +2,11 @@ package live
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
+	"ftss/internal/chaos"
 	"ftss/internal/ctcons"
 	"ftss/internal/detector"
 	"ftss/internal/proc"
@@ -82,23 +84,64 @@ func TestDelayedDelivery(t *testing.T) {
 	t.Fatal("no delayed message arrived")
 }
 
+// crashAt schedules one crash through Apply, the runtime's only fault
+// scheduler.
+func crashAt(rt *Runtime, p proc.ID, at time.Duration) <-chan struct{} {
+	return rt.Apply([]chaos.Action{{At: at, Kind: chaos.ActKill, P: p}}, nil)
+}
+
 func TestCrashStopsCallbacks(t *testing.T) {
 	cs := []*counter{{id: 0, echo: true}, {id: 1}}
 	rt := MustNew([]async.Proc{cs[0], cs[1]}, Config{
 		Seed: 3, TickEvery: 200 * time.Microsecond,
-		CrashAfter: map[proc.ID]time.Duration{1: 20 * time.Millisecond},
 	})
 	rt.Start()
 	defer rt.Stop()
-	time.Sleep(60 * time.Millisecond)
-	if !rt.Crashed().Has(1) {
-		t.Fatal("p1 should be crashed")
+	<-crashAt(rt, 1, 20*time.Millisecond)
+	if since := time.Since(rt.start); since < 20*time.Millisecond {
+		t.Errorf("crash fired after %v, scheduled at 20ms", since)
+	}
+	if !rt.Crashed().Has(1) || !rt.Up().Equal(proc.NewSet(0)) {
+		t.Fatalf("after the crash: crashed=%v up=%v", rt.Crashed(), rt.Up())
 	}
 	if rt.Inspect(1, func(async.Proc) {}) {
 		t.Error("inspecting a crashed process should fail")
 	}
-	if !rt.Correct().Equal(proc.NewSet(0)) {
-		t.Errorf("Correct = %v", rt.Correct())
+}
+
+// TestApplyLeavesNoGoroutines: delayed actions wait on the runtime's done
+// channel, so once Apply's channel closes nothing it started is left
+// running — not one watcher per delayed action until Stop.
+func TestApplyLeavesNoGoroutines(t *testing.T) {
+	rt := MustNew([]async.Proc{&counter{id: 0}, &counter{id: 1}}, Config{
+		Seed: 9, TickEvery: time.Millisecond,
+	})
+	rt.Start()
+	defer rt.Stop()
+	before := runtime.NumGoroutine()
+	var acts []chaos.Action
+	for i := 0; i < 20; i++ {
+		acts = append(acts, chaos.Action{At: time.Duration(i+1) * time.Millisecond, Kind: chaos.ActCorrupt, P: proc.ID(i % 2)})
+	}
+	<-rt.Apply(acts, rand.New(rand.NewSource(9)))
+	if grew := runtime.NumGoroutine() - before; grew > 1 {
+		t.Errorf("%d goroutines outlive 20 applied actions, want ≤ 1", grew)
+	}
+}
+
+// TestStopCancelsApply: Stop ends a pending delayed action at once.
+func TestStopCancelsApply(t *testing.T) {
+	rt := MustNew([]async.Proc{&counter{id: 0}}, Config{Seed: 10})
+	rt.Start()
+	applied := crashAt(rt, 0, time.Hour)
+	rt.Stop()
+	select {
+	case <-applied:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stop did not cancel the pending action")
+	}
+	if rt.Crashed().Has(0) {
+		t.Error("a cancelled action was applied")
 	}
 }
 
@@ -128,10 +171,10 @@ func TestLiveDetectorConformance(t *testing.T) {
 	rt := MustNew(procs, Config{
 		Seed: 5, TickEvery: 300 * time.Microsecond,
 		MinDelay: 100 * time.Microsecond, MaxDelay: 400 * time.Microsecond,
-		CrashAfter: map[proc.ID]time.Duration{3: 20 * time.Millisecond},
 	})
 	rt.Start()
 	defer rt.Stop()
+	crashAt(rt, 3, 20*time.Millisecond)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -177,10 +220,10 @@ func TestLiveConsensusConformance(t *testing.T) {
 	rt := MustNew(aps, Config{
 		Seed: 7, TickEvery: 300 * time.Microsecond,
 		MinDelay: 100 * time.Microsecond, MaxDelay: 400 * time.Microsecond,
-		CrashAfter: map[proc.ID]time.Duration{4: 25 * time.Millisecond},
 	})
 	rt.Start()
 	defer rt.Stop()
+	crashAt(rt, 4, 25*time.Millisecond)
 
 	deadline := time.Now().Add(10 * time.Second)
 	var lastVals [4]ctcons.Value

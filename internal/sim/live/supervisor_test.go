@@ -42,8 +42,8 @@ func TestPanicSupervision(t *testing.T) {
 		}
 		if ticks >= 10 {
 			h := rt.Health()
-			if h.Panics[0] < 3 {
-				t.Fatalf("10 ticks imply ≥3 recovered panics, health says %d", h.Panics[0])
+			if h.Panics < 3 {
+				t.Fatalf("10 ticks imply ≥3 recovered panics, health says %d", h.Panics)
 			}
 			return
 		}
@@ -87,7 +87,7 @@ func TestKillRestartLifecycle(t *testing.T) {
 	for time.Now().Before(deadline) {
 		got := 0
 		if rt.Inspect(1, func(p async.Proc) { got = p.(*counter).msgs }) && got > before {
-			if n := rt.Health().Restarts[1]; n != 1 {
+			if n := rt.Health().Restarts; n != 1 {
 				t.Fatalf("health restarts = %d, want 1", n)
 			}
 			return
@@ -97,8 +97,8 @@ func TestKillRestartLifecycle(t *testing.T) {
 	t.Fatal("restarted process receives no messages")
 }
 
-// flood broadcasts on every tick; sink sleeps in OnMessage so its mailbox
-// backs up, exercising the overflow policies.
+// flood sends to 1 on every tick; sink sleeps in OnMessage so its mailbox
+// backs up, exercising the overflow rule.
 type flood struct{ id proc.ID }
 
 func (f *flood) ID() proc.ID { return f.id }
@@ -127,40 +127,20 @@ func (s *sink) OnMessage(async.Context, proc.ID, any) {
 func TestMailboxDropOldest(t *testing.T) {
 	rt := MustNew([]async.Proc{&flood{id: 0}, &sink{id: 1, doze: time.Millisecond}}, Config{
 		Seed: 3, TickEvery: 100 * time.Microsecond,
-		MailboxCap: 4, Overflow: DropOldest,
+		MailboxCap: 4,
 	})
 	rt.Start()
 	time.Sleep(80 * time.Millisecond)
 	h := rt.Health()
 	rt.Stop()
-	if h.OverflowDropped[1] == 0 {
-		t.Error("flooding a capped drop-oldest mailbox should drop messages")
+	if h.OverflowDropped == 0 {
+		t.Error("flooding a capped mailbox should drop its oldest messages")
 	}
-	if hw := h.MailboxHighWater[1]; hw > 4 {
-		t.Errorf("mailbox high water %d exceeds cap 4", hw)
-	}
-	if h.OverflowDropped[0] != 0 {
-		t.Errorf("the flooder's own mailbox dropped %d", h.OverflowDropped[0])
-	}
-}
-
-func TestMailboxBackpressure(t *testing.T) {
-	rt := MustNew([]async.Proc{&flood{id: 0}, &sink{id: 1, doze: 200 * time.Microsecond}}, Config{
-		Seed: 4, TickEvery: 100 * time.Microsecond,
-		MailboxCap: 4, Overflow: Backpressure,
-	})
-	rt.Start()
-	time.Sleep(80 * time.Millisecond)
-	h := rt.Health()
-	rt.Stop()
-	if h.OverflowDropped[1] != 0 {
-		t.Errorf("backpressure must not drop, dropped %d", h.OverflowDropped[1])
-	}
-	if hw := h.MailboxHighWater[1]; hw > 4 {
+	if hw := h.MailboxHighWater; hw > 4 {
 		t.Errorf("mailbox high water %d exceeds cap 4", hw)
 	}
 	if h.Sent == 0 || h.Delivered == 0 {
-		t.Errorf("no traffic flowed under backpressure: %s", h)
+		t.Errorf("no traffic flowed past the full mailbox: %s", h)
 	}
 }
 
@@ -382,7 +362,7 @@ func TestRestartFromCorruptedStateDef24(t *testing.T) {
 		t.Errorf("stabilization budget %d polls leaves no meaningful stable window (total %d)",
 			m.Rounds, rec.Polls())
 	}
-	if got := rt.Health().Restarts[victim]; got != 1 {
+	if got := rt.Health().Restarts; got != 1 {
 		t.Errorf("health reports %d restarts of the victim, want 1", got)
 	}
 }

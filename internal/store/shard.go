@@ -53,7 +53,7 @@ type kvEntry struct {
 // A Shard is a monitor: one mutex guards everything, so it can be
 // driven from a worker pool and served from connection goroutines
 // without further coordination. All determinism is per shard — the
-// state after Submit/Advance sequence S is a pure function of (cfg,
+// state after Submit/DriveAll sequence S is a pure function of (cfg,
 // idx, S), whatever other shards or goroutines were doing.
 type Shard struct {
 	mu  sync.Mutex
@@ -171,11 +171,11 @@ func newShard(idx int, cfg Config, col *obs.Collector) *Shard {
 	s := &Shard{
 		idx: idx, cfg: cfg,
 		reps: reps, eng: eng, rec: rec, reg: reg,
-		ic:   core.NewIncrementalChecker(rec.History(), WindowAgreement, cfg.StabPolls),
+		ic:   core.NewIncrementalChecker(rec.History(), WindowAgreement, stabPolls),
 		crng: rand.New(rand.NewSource(base + 3)),
 		kv:   make(map[string]kvEntry),
 
-		nextPoll: cfg.PollEvery,
+		nextPoll: pollEvery,
 
 		opsC: reg.Counter("ops"), appliedC: reg.Counter("applied"),
 		okC: reg.Counter("cas_ok"), missC: reg.Counter("cas_mismatch"),
@@ -214,8 +214,8 @@ func newShard(idx int, cfg Config, col *obs.Collector) *Shard {
 }
 
 // noteSealedLocked records an op's first seal time. It runs inside the
-// engine step, which only ever executes under s.mu (Advance and
-// DriveAll hold it while they drive the engine).
+// engine step, which only ever executes under s.mu (DriveAll holds it
+// while it drives the engine).
 func (s *Shard) noteSealedLocked(cmd smr.Value, _ smr.Value, at async.Time) {
 	seq := int64(cmd)
 	if seq < 0 || seq >= int64(len(s.sealedAt)) {
@@ -240,7 +240,7 @@ func (s *Shard) noteCommittedLocked(cmd smr.Value, _ uint64, at async.Time) {
 
 // Submit queues one op and returns its shard-local ID. The op's result
 // becomes available (Result) once its batch commits during a subsequent
-// Advance or DriveAll.
+// DriveAll.
 func (s *Shard) Submit(op Op) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -264,23 +264,14 @@ func (s *Shard) Submit(op Op) int64 {
 	return seq
 }
 
-// Advance runs the shard's engine d further sim-time units, applying
-// committed ops, polling the Definition 2.4 trace on the configured
-// cadence, and injecting scheduled corruption.
-func (s *Shard) Advance(d async.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.advanceLocked(s.eng.Now() + d)
-}
-
 // DriveAll advances the shard until every submitted op has applied, or
-// cfg.MaxSim further sim-time passes (an error: the shard is stuck).
+// maxSim further sim-time passes (an error: the shard is stuck).
 // The horizon is relative to the call so a long-lived server can keep
 // driving the same shard indefinitely.
 func (s *Shard) DriveAll() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	deadline := s.eng.Now() + s.cfg.MaxSim
+	deadline := s.eng.Now() + maxSim
 	for s.pending > 0 {
 		if s.eng.Now() >= deadline {
 			return fmt.Errorf("%d ops unapplied at sim horizon %dms",
@@ -320,7 +311,7 @@ func (s *Shard) advanceLocked(until async.Time) {
 			s.applyLocked(now)
 			s.pollLocked()
 			s.retryLocked(now)
-			s.nextPoll += s.cfg.PollEvery
+			s.nextPoll += pollEvery
 		}
 		if now >= until {
 			break
@@ -505,7 +496,7 @@ func (s *Shard) reconvergeLocked() {
 }
 
 // retryLocked resubmits pending ops when the shard has stalled: no op
-// applied for cfg.RetryAfter while some are still pending. That is the
+// applied for retryAfter while some are still pending. That is the
 // forfeit signature — a batch was expanded by its proposer but skipped
 // by reps[0]'s fold over a corrupted span, so its ops will never apply
 // without resubmission. A merely backlogged shard keeps applying and
@@ -516,7 +507,7 @@ func (s *Shard) retryLocked(now async.Time) {
 	for s.scanFrom < int64(len(s.ops)) && s.done[s.scanFrom] {
 		s.scanFrom++
 	}
-	if s.pending == 0 || now-s.lastProgress < s.cfg.RetryAfter {
+	if s.pending == 0 || now-s.lastProgress < retryAfter {
 		return
 	}
 	for seq := s.scanFrom; seq < int64(len(s.ops)); seq++ {

@@ -68,24 +68,11 @@ type Config struct {
 	MaxBatch int
 	// Pipeline is the smr lookahead depth. Default 2.
 	Pipeline int
-	// PollEvery is the Definition 2.4 poll cadence in sim time.
-	// Default 5ms.
-	PollEvery async.Time
-	// StabPolls is the stabilization budget in polls. Default 8.
-	StabPolls int
-	// RetryAfter resubmits an op whose first submission was forfeited
-	// to a corrupted span (the smr validity trade: agreement over a
-	// corrupted window is forfeit, so a batch expanded by some replicas
-	// can be skipped by others). Retries are idempotent — an op applies
-	// at most once. Default 200ms.
-	RetryAfter async.Time
 	// CorruptEvery, when positive, corrupts one seeded-random replica
 	// of every shard each interval (sim time) and marks the systemic
 	// failure in the shard's trace — the soak configuration that makes
 	// the per-shard verdicts non-vacuous. Zero disables corruption.
 	CorruptEvery async.Time
-	// MaxSim bounds how long Drive may run one shard. Default 120s.
-	MaxSim async.Time
 	// Trace enables causal op tracing: per-op queue/slot/apply spans
 	// and per-corruption containment spans land in a store-wide
 	// collector (TraceSpans, WriteTrace). Off by default; disabled
@@ -110,20 +97,24 @@ func (c Config) withDefaults() Config {
 	if c.Pipeline <= 0 {
 		c.Pipeline = 2
 	}
-	if c.PollEvery <= 0 {
-		c.PollEvery = 5 * async.Millisecond
-	}
-	if c.StabPolls <= 0 {
-		c.StabPolls = 8
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 200 * async.Millisecond
-	}
-	if c.MaxSim <= 0 {
-		c.MaxSim = 120_000 * async.Millisecond
-	}
 	return c
 }
+
+const (
+	// pollEvery is the Definition 2.4 poll cadence in sim time.
+	pollEvery = 5 * async.Millisecond
+	// stabPolls is the stabilization budget in polls. A fixed constant
+	// for now; the plan is to derive it from Config (ROADMAP item 2(a)).
+	stabPolls = 8
+	// retryAfter resubmits an op whose first submission was forfeited
+	// to a corrupted span (the smr validity trade: agreement over a
+	// corrupted window is forfeit, so a batch expanded by some replicas
+	// can be skipped by others). Retries are idempotent — an op applies
+	// at most once.
+	retryAfter = 200 * async.Millisecond
+	// maxSim bounds how long one DriveAll may run a shard.
+	maxSim = 120_000 * async.Millisecond
+)
 
 // Store is the sharded service.
 type Store struct {

@@ -2,31 +2,24 @@ package trace
 
 import (
 	"ftss/internal/core"
-	"ftss/internal/history"
 	"ftss/internal/obs"
 )
 
-// Events emits the Definition 2.4 structure of a recorded history onto
-// an event stream: one coterie_change per de-stabilizing round, one
-// systemic per recorded mark, a segment_open/segment_close pair per
-// maximal stable segment (the close carries that segment's verdict under
-// Σ with the given stabilization budget), and a final verdict event with
-// the measured stabilization. Events are stamped with prefix lengths /
-// round numbers — the deterministic clocks of the history — so a seeded
-// run replays to an identical stream.
+// EventsFrom emits the Definition 2.4 structure of an incremental
+// checker's history onto an event stream: one coterie_change per
+// de-stabilizing round, one systemic per recorded mark, a
+// segment_open/segment_close pair per maximal stable segment (the close
+// carries that segment's verdict under the checker's Σ and stabilization
+// budget), and a final verdict event with the measurement m already taken
+// from the checker. Events are stamped with prefix lengths / round
+// numbers — the deterministic clocks of the history — so a seeded run
+// replays to an identical stream. Emitting costs O(segments) and
+// evaluates no window, so progressive harnesses can publish it
+// repeatedly as the history grows.
 //
 // The returned error is the first per-segment violation, or
 // core.CheckFTSS's rejection of stab < 1, in which case nothing is
 // emitted.
-func Events(sink obs.Sink, h *history.History, sigma core.Problem, stab int) error {
-	ic := core.EvalIncremental(h, sigma, stab)
-	return EventsFrom(sink, ic, ic.Measure())
-}
-
-// EventsFrom renders the event stream from an incremental checker's
-// accumulated per-segment verdicts and a measurement already taken from
-// it: emitting the stream costs O(segments) and evaluates no window, so
-// progressive harnesses can publish it repeatedly as the history grows.
 func EventsFrom(sink obs.Sink, ic *core.IncrementalChecker, m core.StabilizationMeasurement) error {
 	if ic.Stab() < 1 {
 		return ic.Verdict()

@@ -101,15 +101,12 @@ func Segments(w io.Writer, h *history.History) {
 	}
 }
 
-// Verdict writes the Definition 2.4 verdict and the measured stabilization
-// for the final stable segment; the returned error is core.CheckFTSS's.
-func Verdict(w io.Writer, h *history.History, sigma core.Problem, stab int) error {
-	return VerdictFrom(w, core.EvalIncremental(h, sigma, stab))
-}
-
-// VerdictFrom writes the verdict accumulated by an incremental checker —
-// for harnesses that keep a checker attached to a growing history and
-// report progressively without re-evaluating windows.
+// VerdictFrom writes the Definition 2.4 verdict accumulated by an
+// incremental checker and the measured stabilization for the final
+// stable segment; the returned error is the checker's verdict, which is
+// core.CheckFTSS's for core.EvalIncremental(h, Σ, stab). Harnesses that
+// keep a checker attached to a growing history report progressively
+// without re-evaluating windows.
 func VerdictFrom(w io.Writer, ic *core.IncrementalChecker) error {
 	err := ic.Verdict()
 	if err == nil {

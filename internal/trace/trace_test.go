@@ -101,7 +101,7 @@ func TestSegments(t *testing.T) {
 func TestVerdictSatisfied(t *testing.T) {
 	h, sigma, fr := compiledHistory(t)
 	var sb strings.Builder
-	if err := Verdict(&sb, h, sigma, fr); err != nil {
+	if err := VerdictFrom(&sb, core.EvalIncremental(h, sigma, fr)); err != nil {
 		t.Fatalf("verdict: %v", err)
 	}
 	out := sb.String()
@@ -119,7 +119,7 @@ func TestVerdictViolated(t *testing.T) {
 	always := core.Func{ProblemName: "never", Round: func(_ *history.History, r int, _ proc.Set) error {
 		return &core.Violation{Problem: "never", Round: r, Detail: "by construction"}
 	}}
-	if err := Verdict(&sb, h, always, 1); err == nil {
+	if err := VerdictFrom(&sb, core.EvalIncremental(h, always, 1)); err == nil {
 		t.Fatal("expected an error")
 	}
 	out := sb.String()
@@ -169,6 +169,13 @@ func TestTimelineEmptyWindows(t *testing.T) {
 	}
 }
 
+// events renders the stream of one evaluation, the way the harnesses
+// call EventsFrom.
+func events(sink obs.Sink, h *history.History, sigma core.Problem, stab int) error {
+	ic := core.EvalIncremental(h, sigma, stab)
+	return EventsFrom(sink, ic, ic.Measure())
+}
+
 // TestEvents checks the Def-2.4 event stream: segment_open/segment_close
 // pairs per stable segment, a systemic event per mark, and a final
 // verdict event agreeing with core.CheckFTSS.
@@ -176,7 +183,7 @@ func TestEvents(t *testing.T) {
 	h, sigma, fr := compiledHistory(t)
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
-	if err := Events(sink, h, sigma, fr); err != nil {
+	if err := events(sink, h, sigma, fr); err != nil {
 		t.Fatalf("Events verdict disagreed with CheckFTSS: %v", err)
 	}
 	out := buf.String()
@@ -197,7 +204,7 @@ func TestEvents(t *testing.T) {
 	never := core.Func{ProblemName: "never", Round: func(_ *history.History, r int, _ proc.Set) error {
 		return &core.Violation{Problem: "never", Round: r, Detail: "by construction"}
 	}}
-	if err := Events(sink, h, never, 1); err == nil {
+	if err := events(sink, h, never, 1); err == nil {
 		t.Fatal("expected a violation")
 	}
 	if out := buf.String(); !strings.Contains(out, `"ok":0`) {
@@ -211,7 +218,7 @@ func TestEventsRejectsBadStab(t *testing.T) {
 	h, sigma, _ := compiledHistory(t)
 	for _, stab := range []int{0, -3} {
 		var buf bytes.Buffer
-		err := Events(obs.NewJSONL(&buf), h, sigma, stab)
+		err := events(obs.NewJSONL(&buf), h, sigma, stab)
 		want := core.CheckFTSS(h, sigma, stab)
 		if err == nil || want == nil || err.Error() != want.Error() {
 			t.Errorf("stab %d: Events error %v, want CheckFTSS's %v", stab, err, want)

@@ -61,7 +61,7 @@ type Config struct {
 	WriteTimeout time.Duration
 	// QueueCap bounds each peer's outbound queue (default 1024); the
 	// oldest frame is dropped to admit a new one, mirroring the
-	// runtime's DropOldest mailboxes.
+	// runtime's drop-oldest mailboxes.
 	QueueCap int
 	// Faults injects connection-level chaos (nil = none).
 	Faults LinkFaults
