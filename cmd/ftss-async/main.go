@@ -57,11 +57,7 @@ func run(args []string) error {
 		NoiseP: 0.25, SlanderP: 0.15, Seed: *seed,
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
-	inputs := make([]ctcons.Value, *n)
-	for i := range inputs {
-		inputs[i] = ctcons.Value(rng.Int63n(1000))
-	}
+	inputs := ctcons.SeededInputs(*seed, *n)
 	cfg := ctcons.Stabilizing()
 	if *baseline {
 		cfg = ctcons.Baseline()

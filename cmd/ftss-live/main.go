@@ -79,11 +79,7 @@ func run(args []string) (err error) {
 		NoiseP:     0.2, SlanderP: 0.1, Seed: *seed,
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
-	inputs := make([]ctcons.Value, *n)
-	for i := range inputs {
-		inputs[i] = ctcons.Value(rng.Int63n(1000))
-	}
+	inputs := ctcons.SeededInputs(*seed, *n)
 	cs, aps := ctcons.Procs(*n, inputs, ctcons.Stabilizing(), weak)
 	if *corrupt {
 		crng := rand.New(rand.NewSource(*seed * 7))

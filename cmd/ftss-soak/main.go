@@ -217,11 +217,7 @@ func soak(p soakParams, w io.Writer) error {
 	plan := buildPlan(seed, n, p.episodes, p.episodeLen, p.quietLen)
 	fmt.Fprint(w, plan)
 
-	rng := rand.New(rand.NewSource(seed))
-	inputs := make([]ctcons.Value, n)
-	for i := range inputs {
-		inputs[i] = ctcons.Value(rng.Int63n(1000))
-	}
+	inputs := ctcons.SeededInputs(seed, n)
 
 	// Cluster 1: oracle-free consensus — heartbeats, adaptive timeouts,
 	// Figure 4, §3 — the stack that must live off real traffic.

@@ -4,8 +4,8 @@
 // synchronous systems readily adapt to synchronous, but not perfectly
 // synchronized systems."
 //
-// This example runs three scenarios on the lagged round engine (broadcasts
-// may arrive one round late):
+// This example runs three scenarios on the synchronous round engine with a
+// lag schedule attached (broadcasts may arrive one round late):
 //
 //  1. Figure 1 under random lag — unchanged protocol text, exact
 //     agreement re-reached after corruption (equality is absorbing).
@@ -28,6 +28,7 @@ import (
 	"ftss/internal/history"
 	"ftss/internal/proc"
 	"ftss/internal/roundagree"
+	"ftss/internal/sim/round"
 	"ftss/internal/skew"
 	"ftss/internal/superimpose"
 )
@@ -39,6 +40,7 @@ func main() {
 	}
 }
 
+// lateLink is a round.Lag that delays every from→to message, forever.
 type lateLink struct{ from, to proc.ID }
 
 func (l lateLink) Late(_ uint64, f, t proc.ID) bool { return f == l.from && t == l.to }
@@ -52,7 +54,8 @@ func run() error {
 		c.Corrupt(rng)
 	}
 	h := history.New(4, proc.NewSet())
-	e := skew.MustNewEngine(ps, nil, skew.RandomLag{P: 0.4, Seed: 7})
+	e := round.MustNewEngine(ps, nil)
+	e.SetLag(skew.RandomLag{P: 0.4, Seed: 7})
 	e.Observe(h)
 	e.Run(20)
 	m := core.MeasureStabilization(h, core.RoundAgreement{})
@@ -64,7 +67,8 @@ func run() error {
 	cs[0].CorruptTo(50)
 	cs[1].CorruptTo(1)
 	h = history.New(2, proc.NewSet())
-	e = skew.MustNewEngine(ps, nil, lateLink{from: 0, to: 1})
+	e = round.MustNewEngine(ps, nil)
+	e.SetLag(lateLink{from: 0, to: 1})
 	e.Observe(h)
 	e.Run(30)
 	fmt.Printf("   after 30 rounds: c_p0=%d, c_p1=%d — a 1-gap forever\n", cs[0].Clock(), cs[1].Clock())
@@ -82,7 +86,8 @@ func run() error {
 	}
 	adv := failure.NewRandom(failure.GeneralOmission, proc.NewSet(2), 0.3, 3, 0)
 	h = history.New(4, adv.Faulty())
-	e = skew.MustNewEngine(eps, adv, skew.RandomLag{P: 0.35, Seed: 3})
+	e = round.MustNewEngine(eps, adv)
+	e.SetLag(skew.RandomLag{P: 0.35, Seed: 3})
 	e.Observe(h)
 	e.Run(50)
 

@@ -4,7 +4,7 @@
 // the paper's protocol invariants at every configuration — not just
 // the seeds the dynamic tests happen to sweep. One unseeded rand.Intn,
 // one time.Now, or one unsorted map iteration feeding a rendered table
-// silently breaks reproducibility of the E1–E14 experiment output; one
+// silently breaks reproducibility of the E1–E15 experiment output; one
 // field read outside its mutex is a data race no sampled -race seed
 // reliably catches. This package catches both classes at analysis time.
 //

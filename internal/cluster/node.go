@@ -73,18 +73,6 @@ func (c NodeConfig) Plan() *chaos.Plan {
 	})
 }
 
-// Inputs derives the cluster's input vector from the seed — the same
-// derivation ftss-soak uses, done identically on every node so no input
-// distribution message is needed.
-func Inputs(seed int64, n int) []ctcons.Value {
-	rng := rand.New(rand.NewSource(seed))
-	inputs := make([]ctcons.Value, n)
-	for i := range inputs {
-		inputs[i] = ctcons.Value(rng.Int63n(1000))
-	}
-	return inputs
-}
-
 // RunNode boots one node and blocks until the schedule's horizon passes
 // or stop fires (graceful shutdown). Telemetry goes through the caller's
 // opened session: node_poll records (stamped with the poll index, not
@@ -109,7 +97,7 @@ func RunNode(cfg NodeConfig, tel *cli.Telemetry, stop <-chan struct{}, w io.Writ
 	reg := obs.NewRegistry()
 	ins := live.NewInstruments(reg, "node", sink)
 
-	hp := ctcons.NewConstructiveProc(cfg.ID, cfg.N, Inputs(cfg.Seed, cfg.N)[cfg.ID],
+	hp := ctcons.NewConstructiveProc(cfg.ID, cfg.N, ctcons.SeededInputs(cfg.Seed, cfg.N)[cfg.ID],
 		ctcons.Stabilizing(), 5*async.Millisecond, async.Millisecond)
 	if cfg.Corrupt {
 		hp.Corrupt(rand.New(rand.NewSource(cfg.Seed*7919 ^ int64(cfg.Since))))

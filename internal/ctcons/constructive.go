@@ -28,39 +28,26 @@ var _ async.Proc = (*HeartbeatProc)(nil)
 // adapts to pre-GST chaos.
 func NewConstructiveProcs(n int, inputs []Value, cfg Config,
 	baseTimeout, increment async.Time) ([]*HeartbeatProc, []async.Proc) {
-	weak := detector.NewTimeoutWeak()
-	cores := make([]*detector.TimeoutCore, n)
-	for i := 0; i < n; i++ {
-		cores[i] = detector.NewTimeoutCore(proc.ID(i), n, baseTimeout, increment)
-		weak.Register(proc.ID(i), cores[i])
-	}
 	hs := make([]*HeartbeatProc, n)
 	aps := make([]async.Proc, n)
 	for i := 0; i < n; i++ {
-		hs[i] = &HeartbeatProc{
-			core: cores[i],
-			cons: New(proc.ID(i), n, inputs[i], cfg, weak),
-		}
+		hs[i] = NewConstructiveProc(proc.ID(i), n, inputs[i], cfg, baseTimeout, increment)
 		aps[i] = hs[i]
 	}
 	return hs, aps
 }
 
-// NewConstructiveProc builds one networked member of an n-process
-// constructive stack: the same composition as NewConstructiveProcs, but
-// hosting only process id (the other n-1 live in other OS processes,
-// reached over a transport). The ◊W registry holds just the local core —
-// the Figure 4 transform only ever consults the local detector
-// (weak.Detect(now, self)), so a single-entry registry behaves
-// identically to a shared one.
+// NewConstructiveProc builds process id of an n-process constructive
+// stack. The timeout core is the ◊W its own Figure 4 transform consults
+// (the transform only ever asks about the local process), so one member
+// needs nothing from the others and can live alone in an OS process,
+// reaching the other n-1 over a transport.
 func NewConstructiveProc(id proc.ID, n int, input Value, cfg Config,
 	baseTimeout, increment async.Time) *HeartbeatProc {
-	weak := detector.NewTimeoutWeak()
 	core := detector.NewTimeoutCore(id, n, baseTimeout, increment)
-	weak.Register(id, core)
 	return &HeartbeatProc{
 		core: core,
-		cons: New(id, n, input, cfg, weak),
+		cons: New(id, n, input, cfg, core),
 	}
 }
 

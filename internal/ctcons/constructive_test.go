@@ -43,7 +43,7 @@ func verifyConstructive(t *testing.T, hs []*HeartbeatProc, e *async.Engine,
 // terminates with a valid decision.
 func TestConstructiveConsensusCleanStart(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		inputs := inputsFor(5, seed)
+		inputs := SeededInputs(seed, 5)
 		crash := map[proc.ID]async.Time{4: 40 * ms}
 		hs, e := buildConstructive(5, inputs, crash, seed)
 		v := verifyConstructive(t, hs, e, 1500*ms, "clean")
@@ -58,7 +58,7 @@ func TestConstructiveConsensusCleanStart(t *testing.T) {
 // system still reaches eventual stable agreement.
 func TestConstructiveConsensusCorruptedStart(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		inputs := inputsFor(5, seed)
+		inputs := SeededInputs(seed, 5)
 		crash := map[proc.ID]async.Time{4: 40 * ms}
 		hs, e := buildConstructive(5, inputs, crash, seed)
 		rng := rand.New(rand.NewSource(seed * 17))
@@ -72,20 +72,20 @@ func TestConstructiveConsensusCorruptedStart(t *testing.T) {
 // TestConstructiveConsensusTwoCrashes: f = 2 < n/2 crashes with the
 // constructive detector.
 func TestConstructiveConsensusTwoCrashes(t *testing.T) {
-	inputs := inputsFor(5, 3)
+	inputs := SeededInputs(3, 5)
 	crash := map[proc.ID]async.Time{3: 35 * ms, 4: 70 * ms}
 	hs, e := buildConstructive(5, inputs, crash, 3)
 	verifyConstructive(t, hs, e, 2000*ms, "two crashes")
 }
 
-// TestConstructiveSingleProcEquivalence: n stacks built independently
-// with NewConstructiveProc — each with its own single-entry ◊W registry,
-// as networked nodes build them — reach stable agreement exactly like
-// the shared-registry composition. This pins the claim that the Figure 4
-// transform only ever consults the local detector.
+// TestConstructiveSingleProcEquivalence: n stacks built one at a time
+// with NewConstructiveProc, as networked nodes build them, reach stable
+// agreement under pre-GST chaos and a crash. Each stack's own timeout
+// core is its ◊W, which holds because the Figure 4 transform only ever
+// consults the local detector.
 func TestConstructiveSingleProcEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		inputs := inputsFor(5, seed)
+		inputs := SeededInputs(seed, 5)
 		hs := make([]*HeartbeatProc, 5)
 		aps := make([]async.Proc, 5)
 		for i := range hs {

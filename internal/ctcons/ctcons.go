@@ -55,6 +55,18 @@ import (
 // Value is the consensus decision domain.
 type Value int64
 
+// SeededInputs derives an n-process input vector from the seed. Every
+// driver of the §3 consensus uses it, and a networked node derives the
+// same vector as its peers without an input distribution message.
+func SeededInputs(seed int64, n int) []Value {
+	rng := rand.New(rand.NewSource(seed))
+	inputs := make([]Value, n)
+	for i := range inputs {
+		inputs[i] = Value(rng.Int63n(1000))
+	}
+	return inputs
+}
+
 // Message types. Every message carries the sender's round number; the
 // stabilizing variant uses it both to ignore stale traffic and to pull
 // laggards forward, the baseline to index its buffers.
@@ -202,9 +214,6 @@ func (p *Proc) Decision() (Value, uint64, bool) {
 
 // Suspects implements detector.SuspectSource via the embedded transform.
 func (p *Proc) Suspects() proc.Set { return p.det.Suspects() }
-
-// Detector exposes the embedded ◊S core.
-func (p *Proc) Detector() *detector.StrongCore { return p.det }
 
 func (p *Proc) majority() int { return p.n/2 + 1 }
 

@@ -56,22 +56,13 @@ func buildRun(n int, inputs []Value, cfg Config, crashAt map[proc.ID]async.Time,
 	return cs, e
 }
 
-func inputsFor(n int, seed int64) []Value {
-	rng := rand.New(rand.NewSource(seed))
-	in := make([]Value, n)
-	for i := range in {
-		in[i] = Value(rng.Int63n(1000))
-	}
-	return in
-}
-
 // TestBaselineCleanRun: plain CT terminates with a valid common decision
 // from a good initial state with crash failures f < n/2.
 func TestBaselineCleanRun(t *testing.T) {
 	for _, n := range []int{3, 5} {
 		for seed := int64(1); seed <= 10; seed++ {
 			crash := map[proc.ID]async.Time{proc.ID(n - 1): 15 * ms}
-			inputs := inputsFor(n, seed)
+			inputs := SeededInputs(seed, n)
 			cs, e := buildRun(n, inputs, Baseline(), crash, seed)
 			correct := e.Correct()
 			samples := SampleDecisions(e, cs, 5*ms, 600*ms)
@@ -95,7 +86,7 @@ func TestStabilizingCleanRun(t *testing.T) {
 			if n >= 3 {
 				crash[proc.ID(n-1)] = 12 * ms
 			}
-			inputs := inputsFor(n, seed+100)
+			inputs := SeededInputs(seed+100, n)
 			cs, e := buildRun(n, inputs, Stabilizing(), crash, seed)
 			correct := e.Correct()
 			samples := SampleDecisions(e, cs, 5*ms, 600*ms)
@@ -117,7 +108,7 @@ func TestStabilizingCorruptedStart(t *testing.T) {
 	for _, n := range []int{3, 5, 7} {
 		for seed := int64(1); seed <= 15; seed++ {
 			crash := map[proc.ID]async.Time{proc.ID(n / 2): 20 * ms}
-			inputs := inputsFor(n, seed)
+			inputs := SeededInputs(seed, n)
 			cs, e := buildRun(n, inputs, Stabilizing(), crash, seed)
 			rng := rand.New(rand.NewSource(seed * 31))
 			for _, c := range cs {
@@ -136,7 +127,7 @@ func TestStabilizingCorruptedStart(t *testing.T) {
 // already stabilized; the registers must re-stabilize to a common value.
 func TestStabilizingMidRunCorruption(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
-		inputs := inputsFor(5, seed)
+		inputs := SeededInputs(seed, 5)
 		cs, e := buildRun(5, inputs, Stabilizing(), nil, seed)
 		e.RunUntil(300 * ms)
 		rng := rand.New(rand.NewSource(seed * 7))
@@ -384,7 +375,7 @@ func TestManySeedsStabilizingNeverDisagrees(t *testing.T) {
 		if n > 3 && seed%2 == 0 {
 			crash[proc.ID(n-1)] = async.Time(seed) * ms
 		}
-		inputs := inputsFor(n, seed)
+		inputs := SeededInputs(seed, n)
 		cs, e := buildRun(n, inputs, Stabilizing(), crash, seed)
 		rng := rand.New(rand.NewSource(seed))
 		for _, c := range cs {

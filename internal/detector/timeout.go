@@ -124,6 +124,18 @@ func (c *TimeoutCore) Suspects(now async.Time) proc.Set {
 	return out
 }
 
+var _ WeakDetector = (*TimeoutCore)(nil)
+
+// Detect implements WeakDetector for the core's own process. The Figure 4
+// transform only ever consults the local detector (Detect(now, self)), so
+// a core is its process's ◊W and answers nothing for any other process.
+func (c *TimeoutCore) Detect(now async.Time, p proc.ID) proc.Set {
+	if p != c.self {
+		return proc.NewSet()
+	}
+	return c.Suspects(now)
+}
+
 // Timeout exposes q's current adaptive timeout (for tests).
 func (c *TimeoutCore) Timeout(q proc.ID) async.Time { return c.timeout[q] }
 
@@ -136,33 +148,6 @@ func (c *TimeoutCore) Corrupt(rng *rand.Rand) {
 	}
 }
 
-// TimeoutWeak adapts a per-process TimeoutCore to the WeakDetector
-// interface consumed by the Figure 4 transform: Detect simply reads the
-// local core's current suspicions. Each process must have its own core
-// (registered under its ID); queries for unknown processes return nothing.
-type TimeoutWeak struct {
-	cores map[proc.ID]*TimeoutCore
-}
-
-var _ WeakDetector = (*TimeoutWeak)(nil)
-
-// NewTimeoutWeak builds an empty registry.
-func NewTimeoutWeak() *TimeoutWeak {
-	return &TimeoutWeak{cores: make(map[proc.ID]*TimeoutCore)}
-}
-
-// Register adds p's local core.
-func (w *TimeoutWeak) Register(p proc.ID, core *TimeoutCore) { w.cores[p] = core }
-
-// Detect implements WeakDetector.
-func (w *TimeoutWeak) Detect(now async.Time, p proc.ID) proc.Set {
-	c, ok := w.cores[p]
-	if !ok {
-		return proc.NewSet()
-	}
-	return c.Suspects(now)
-}
-
 // TimeoutProc runs a TimeoutCore plus the Figure 4 transform as a
 // standalone async.Proc: the fully constructive ◊S detector.
 type TimeoutProc struct {
@@ -172,17 +157,15 @@ type TimeoutProc struct {
 
 var _ async.Proc = (*TimeoutProc)(nil)
 
-// NewTimeoutProcs builds n constructive detector processes wired to each
-// other through a shared TimeoutWeak registry.
+// NewTimeoutProcs builds n constructive detector processes, each core
+// wired straight into its own process's transform.
 func NewTimeoutProcs(n int, baseTimeout, increment async.Time) []*TimeoutProc {
-	weak := NewTimeoutWeak()
 	out := make([]*TimeoutProc, n)
 	for i := 0; i < n; i++ {
 		core := NewTimeoutCore(proc.ID(i), n, baseTimeout, increment)
-		weak.Register(proc.ID(i), core)
 		out[i] = &TimeoutProc{
 			core:   core,
-			strong: NewStrongCore(proc.ID(i), n, weak),
+			strong: NewStrongCore(proc.ID(i), n, core),
 		}
 	}
 	return out
@@ -210,9 +193,6 @@ func (p *TimeoutProc) Suspects() proc.Set { return p.strong.Suspects() }
 
 // Core exposes the timeout layer.
 func (p *TimeoutProc) Core() *TimeoutCore { return p.core }
-
-// Strong exposes the transform layer.
-func (p *TimeoutProc) Strong() *StrongCore { return p.strong }
 
 // Corrupt implements failure.Corruptible: both layers.
 func (p *TimeoutProc) Corrupt(rng *rand.Rand) {

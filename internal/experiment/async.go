@@ -137,11 +137,7 @@ func E6AsyncConsensus(cfg Config) *Table {
 				for i := 0; i < f; i++ {
 					crashAt[proc.ID(n-1-i)] = async.Time(15+9*i) * ms
 				}
-				inputs := make([]ctcons.Value, n)
-				rng := rand.New(rand.NewSource(seed))
-				for i := range inputs {
-					inputs[i] = ctcons.Value(rng.Int63n(1000))
-				}
+				inputs := ctcons.SeededInputs(seed, n)
 
 				run := func(c ctcons.Config) (bool, async.Time) {
 					cs, aps := ctcons.Procs(n, inputs, c, weakFor(n, crashAt, seed))

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ftss/internal/ctcons"
 	"ftss/internal/detector"
@@ -38,11 +37,7 @@ func E11StabilizationCost(cfg Config) *Table {
 			for i := 0; i < f; i++ {
 				crashAt[proc.ID(n-1-i)] = async.Time(15+9*i) * ms
 			}
-			inputs := make([]ctcons.Value, n)
-			rng := rand.New(rand.NewSource(seed))
-			for i := range inputs {
-				inputs[i] = ctcons.Value(rng.Int63n(1000))
-			}
+			inputs := ctcons.SeededInputs(seed, n)
 			run := func(c ctcons.Config) (uint64, bool) {
 				cs, aps := ctcons.Procs(n, inputs, c, weakFor(n, crashAt, seed))
 				e := async.MustNewEngine(aps, async.Config{

@@ -10,6 +10,7 @@ import (
 	"ftss/internal/history"
 	"ftss/internal/proc"
 	"ftss/internal/roundagree"
+	"ftss/internal/sim/round"
 	"ftss/internal/skew"
 	"ftss/internal/superimpose"
 )
@@ -24,8 +25,8 @@ import (
 //   - Under an adversarially permanent lag, exact agreement is
 //     unattainable (a 1-gap persists forever) but agreement-within-1 — the
 //     properly adapted problem — holds.
-//   - The double-stepped compiler ftss-solves repeated consensus on the
-//     lagged engine with doubled tiles.
+//   - The double-stepped compiler ftss-solves repeated consensus under a
+//     lag schedule on sim/round, with doubled tiles.
 func E10ImperfectSynchrony(cfg Config) *Table {
 	t := &Table{
 		ID:    "E10",
@@ -47,7 +48,8 @@ func E10ImperfectSynchrony(cfg Config) *Table {
 				c.Corrupt(rng)
 			}
 			h := history.New(5, proc.NewSet())
-			e := skew.MustNewEngine(ps, nil, skew.RandomLag{P: 0.4, Seed: seed})
+			e := round.MustNewEngine(ps, nil)
+			e.SetLag(skew.RandomLag{P: 0.4, Seed: seed})
 			e.Observe(h)
 			e.Run(cfg.Rounds)
 			return core.MeasureStabilization(h, core.RoundAgreement{}).Rounds
@@ -78,7 +80,8 @@ func E10ImperfectSynchrony(cfg Config) *Table {
 		cs[0].CorruptTo(50)
 		cs[1].CorruptTo(1)
 		h := history.New(2, proc.NewSet())
-		e := skew.MustNewEngine(ps, nil, permanentLag{})
+		e := round.MustNewEngine(ps, nil)
+		e.SetLag(permanentLag{})
 		e.Observe(h)
 		e.Run(cfg.Rounds)
 		exact := core.MeasureStabilization(h, core.RoundAgreement{})
@@ -112,7 +115,8 @@ func E10ImperfectSynchrony(cfg Config) *Table {
 				c.Corrupt(rng)
 			}
 			h := history.New(4, faulty)
-			e := skew.MustNewEngine(ps, adv, skew.RandomLag{P: 0.35, Seed: seed})
+			e := round.MustNewEngine(ps, adv)
+			e.SetLag(skew.RandomLag{P: 0.35, Seed: seed})
 			e.Observe(h)
 			e.Run(cfg.Rounds)
 			return rep{
@@ -146,7 +150,7 @@ func E10ImperfectSynchrony(cfg Config) *Table {
 // permanentLag delays every p0→p1 message forever.
 type permanentLag struct{}
 
-// Late implements skew.LagSchedule.
+// Late implements round.Lag.
 func (permanentLag) Late(_ uint64, from, to proc.ID) bool {
 	return from == 0 && to == 1
 }

@@ -18,7 +18,7 @@ import (
 
 // Table is one experiment's rendered result.
 type Table struct {
-	// ID is the experiment identifier (E1…E8).
+	// ID is the experiment identifier (E1…E15).
 	ID string
 	// Title names the paper artifact reproduced.
 	Title string

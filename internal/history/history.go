@@ -228,11 +228,6 @@ func (h *History) Influence(t int, q proc.ID) proc.Set {
 	return h.influence[t][int(q)].Clone()
 }
 
-// InfluenceView is Influence without the defensive copy; read-only.
-func (h *History) InfluenceView(t int, q proc.ID) proc.Set {
-	return h.influence[t][int(q)]
-}
-
 // CoterieAt returns the coterie of the t-prefix (Definition 2.3). t may be
 // 0..Len().
 func (h *History) CoterieAt(t int) proc.Set { return h.coterie[t].Clone() }
@@ -274,16 +269,6 @@ func (h *History) SnapshotAtEnd(r int, p proc.ID) (round.Snapshot, bool) {
 		return round.Snapshot{}, false
 	}
 	return rec.end[int(p)], true
-}
-
-// ClockAtEnd returns c_p at the end of actual round r — equivalently, at
-// the start of round r+1 (c_p^{r+1} in the paper's notation).
-func (h *History) ClockAtEnd(r int, p proc.ID) (uint64, bool) {
-	rec := &h.recs[r-1]
-	if !rec.alive.Has(p) {
-		return 0, false
-	}
-	return rec.end[int(p)].Clock, true
 }
 
 // Segment is a maximal run of prefix lengths with a constant coterie.

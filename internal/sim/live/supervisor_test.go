@@ -374,11 +374,7 @@ func TestRestartFromCorruptedStateDef24(t *testing.T) {
 func TestLiveChaosMatchesAsyncVerdict(t *testing.T) {
 	const n = 5
 	const seed = 8
-	rng := rand.New(rand.NewSource(seed))
-	inputs := make([]ctcons.Value, n)
-	for i := range inputs {
-		inputs[i] = ctcons.Value(rng.Int63n(1000))
-	}
+	inputs := ctcons.SeededInputs(seed, n)
 
 	// Async engine verdict: corrupted start, one crash.
 	crashAt := map[proc.ID]async.Time{proc.ID(n - 1): 15 * async.Millisecond}

@@ -10,7 +10,8 @@ import "ftss/internal/obs"
 type Instruments struct {
 	// Rounds counts engine steps executed.
 	Rounds *obs.Counter
-	// Messages counts messages delivered (including self-delivery).
+	// Messages counts messages delivered (including self-delivery), a
+	// held-back message in the round it lands.
 	Messages *obs.Counter
 	// Dropped counts messages suppressed by the adversary.
 	Dropped *obs.Counter

@@ -7,7 +7,11 @@
 // The engine enforces the model's ground rules:
 //
 //   - Message delivery time is constant: a round-r broadcast is delivered at
-//     the end of round r or never.
+//     the end of round r or never. The one exception is a Lag schedule
+//     attached with SetLag, which models synchronous but not perfectly
+//     synchronized systems (§3's opening): it may hold a message back to
+//     the end of round r+1. The lag is the environment's, not a process
+//     failure, so correct processes' messages may be late too.
 //   - Only designated-faulty processes lose messages or crash; the failure
 //     schedule comes from a failure.Adversary.
 //   - Every process, correct or faulty, receives its own broadcast
@@ -96,7 +100,8 @@ type Observation struct {
 	// Sent maps each alive process to the payload it broadcast (absent if
 	// it stayed silent).
 	Sent map[proc.ID]any
-	// Delivered maps each alive process to the messages it received.
+	// Delivered maps each alive process to the messages it received,
+	// including any a Lag held back from the previous round.
 	Delivered map[proc.ID][]Message
 	// End maps each alive process to its state at the end of the round
 	// (after absorbing deliveries). For a process alive in round r+1 this
@@ -107,6 +112,12 @@ type Observation struct {
 	// Deviated holds the processes that deviated from their protocol in
 	// this round (an actual message loss, or a crash taking effect).
 	Deviated proc.Set
+}
+
+// Lag decides whether the round-r message from `from` to `to` is delivered
+// one round late. Implementations must be deterministic.
+type Lag interface {
+	Late(r uint64, from, to proc.ID) bool
 }
 
 // Observer consumes per-round observations, typically to build a history
@@ -143,6 +154,12 @@ type Engine struct {
 
 	// ins holds optional telemetry hooks; nil disables all telemetry.
 	ins *Instruments
+
+	// lag is the optional delivery-lag schedule (nil: perfect synchrony).
+	// late holds the messages it held back this round and due those held
+	// back last round, per receiver and sorted by sender; Step swaps them.
+	lag       Lag
+	late, due [][]Message
 }
 
 // NewEngine builds an engine over the given processes and adversary.
@@ -194,6 +211,24 @@ func MustNewEngine(procs []Process, adv failure.Adversary) *Engine {
 	return e
 }
 
+// SetLag attaches a delivery-lag schedule. Attach it before the first
+// Step; nil keeps the perfectly synchronous model. A held-back message
+// lands at the end of the next round, merged into the receiver's inbox in
+// sender order (the held-back message first on a sender tie). It is lost
+// if the receiver has crashed by then, and delivered even if the sender
+// has. Self-delivery is never late, and adversary drops are decided first.
+func (e *Engine) SetLag(l Lag) {
+	e.lag = l
+	// Every buffer is sized for its worst case (n on-time messages plus
+	// n−1 held back), so lagged Steps allocate nothing for routing either.
+	n := len(e.procs)
+	e.late, e.due = make([][]Message, n), make([][]Message, n)
+	for i := range e.inbox {
+		e.inbox[i] = make([]Message, 0, 2*n)
+		e.late[i], e.due[i] = make([]Message, 0, n), make([]Message, 0, n)
+	}
+}
+
 // Observe registers an observer that will see every subsequent round.
 func (e *Engine) Observe(o Observer) { e.obs = append(e.obs, o) }
 
@@ -239,12 +274,13 @@ func (e *Engine) CorruptEverything(rng *rand.Rand) int {
 }
 
 // Step executes one round: crashes take effect, alive processes broadcast,
-// the adversary filters deliveries, alive processes absorb what arrived,
-// and observers are notified.
+// the adversary filters deliveries, the lag schedule (if any) holds some
+// back a round, alive processes absorb what arrived, and observers are
+// notified.
 //
 // Deliveries are bucketed per receiver by iterating senders in increasing
-// ID order, so each inbox is sorted by sender by construction — no sorting
-// pass. The engine reuses its per-round buffers whether or not observers
+// ID order, so each inbox is sorted by sender by construction; held-back
+// messages, sorted the same way, are inserted in place. The engine reuses its per-round buffers whether or not observers
 // are registered (observers must copy what they retain — see Observation),
 // so a steady-state round allocates almost nothing beyond what the
 // protocols themselves allocate.
@@ -314,6 +350,12 @@ func (e *Engine) Step() {
 		e.sent[id] = p.StartRound()
 	}
 
+	if e.lag != nil {
+		e.late, e.due = e.due, e.late
+		for i := range e.late {
+			e.late[i] = e.late[i][:0]
+		}
+	}
 	nDelivered, nDropped := 0, 0
 	for _, to := range aliveIDs {
 		msgs := e.inbox[to][:0]
@@ -335,9 +377,26 @@ func (e *Engine) Step() {
 					e.dropEvent(r, "recv", from, to)
 					continue
 				}
+				if e.lag != nil && e.lag.Late(r, from, to) {
+					e.late[to] = append(e.late[to], Message{From: from, Payload: payload})
+					continue
+				}
 			}
 			msgs = append(msgs, Message{From: from, Payload: payload})
 			nDelivered++
+		}
+		if e.lag != nil {
+			// Insert last round's held-back messages by sender, each ahead
+			// of an on-time message from the same sender.
+			for _, m := range e.due[to] {
+				msgs = append(msgs, m)
+				i := len(msgs) - 1
+				for ; i > 0 && msgs[i-1].From >= m.From; i-- {
+					msgs[i] = msgs[i-1]
+				}
+				msgs[i] = m
+			}
+			nDelivered += len(e.due[to])
 		}
 		e.inbox[to] = msgs
 	}

@@ -5,7 +5,8 @@
 //
 // The imperfect synchrony is modeled as bounded delivery lag: a round-r
 // broadcast reaches each receiver at the end of round r or round r+1, the
-// choice made per (round, sender, receiver) by a timing schedule that is
+// choice made per (round, sender, receiver) by a round.Lag schedule
+// attached to the one synchronous engine (round.Engine.SetLag). The lag is
 // part of the environment, not a process failure — correct processes'
 // messages may be late too.
 //
@@ -28,26 +29,9 @@
 package skew
 
 import (
-	"fmt"
-	"math/rand"
-
-	"ftss/internal/failure"
 	"ftss/internal/proc"
 	"ftss/internal/sim/round"
 )
-
-// LagSchedule decides whether the round-r message from `from` to `to` is
-// delivered one round late. Implementations must be deterministic.
-type LagSchedule interface {
-	Late(r uint64, from, to proc.ID) bool
-}
-
-// NoLag delivers everything on time (the engine then behaves exactly like
-// sim/round).
-type NoLag struct{}
-
-// Late implements LagSchedule.
-func (NoLag) Late(uint64, proc.ID, proc.ID) bool { return false }
 
 // RandomLag delays each message independently with probability P, driven
 // by a seed.
@@ -56,7 +40,9 @@ type RandomLag struct {
 	Seed int64
 }
 
-// Late implements LagSchedule.
+var _ round.Lag = RandomLag{}
+
+// Late implements round.Lag.
 func (l RandomLag) Late(r uint64, from, to proc.ID) bool {
 	x := uint64(l.Seed) ^ 0x51ab
 	x ^= r * 0x9e3779b97f4a7c15
@@ -66,221 +52,4 @@ func (l RandomLag) Late(r uint64, from, to proc.ID) bool {
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	return float64(x>>11)/float64(1<<53) < l.P
-}
-
-// Engine is a synchronous round engine with bounded delivery lag. It
-// mirrors sim/round.Engine (same Process and Observer interfaces, so the
-// history/coterie machinery applies unchanged — causality edges land at
-// the actual delivery round) and adds the lag schedule.
-//
-// Self-delivery is never late: a process observes its own broadcast
-// immediately (the paper's footnote 1 plus the fact that a process cannot
-// be skewed against itself).
-type Engine struct {
-	procs    []round.Process
-	byID     map[proc.ID]round.Process
-	adv      failure.Adversary
-	lag      LagSchedule
-	obs      []round.Observer
-	round    uint64
-	crashed  proc.Set
-	designed proc.Set
-	// pending holds messages scheduled for delivery at the end of the
-	// NEXT round, per receiver.
-	pending map[proc.ID][]round.Message
-}
-
-// NewEngine builds a lagged engine. IDs must be dense 0..n−1 and unique.
-func NewEngine(procs []round.Process, adv failure.Adversary, lag LagSchedule) (*Engine, error) {
-	if adv == nil {
-		adv = failure.None{}
-	}
-	if lag == nil {
-		lag = NoLag{}
-	}
-	byID := make(map[proc.ID]round.Process, len(procs))
-	for _, p := range procs {
-		id := p.ID()
-		if int(id) < 0 || int(id) >= len(procs) {
-			return nil, fmt.Errorf("process id %v out of range [0,%d)", id, len(procs))
-		}
-		if _, dup := byID[id]; dup {
-			return nil, fmt.Errorf("duplicate process id %v", id)
-		}
-		byID[id] = p
-	}
-	return &Engine{
-		procs:    procs,
-		byID:     byID,
-		adv:      adv,
-		lag:      lag,
-		round:    1,
-		crashed:  proc.NewSet(),
-		designed: adv.Faulty().Clone(),
-		pending:  make(map[proc.ID][]round.Message),
-	}, nil
-}
-
-// MustNewEngine panics on configuration errors.
-func MustNewEngine(procs []round.Process, adv failure.Adversary, lag LagSchedule) *Engine {
-	e, err := NewEngine(procs, adv, lag)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// Observe registers an observer for subsequent rounds.
-func (e *Engine) Observe(o round.Observer) { e.obs = append(e.obs, o) }
-
-// Round returns the next actual round number.
-func (e *Engine) Round() uint64 { return e.round }
-
-// Crashed returns the crashed set.
-func (e *Engine) Crashed() proc.Set { return e.crashed.Clone() }
-
-// Corrupt injects systemic failures, as in sim/round.
-func (e *Engine) Corrupt(rng *rand.Rand, ids proc.Set) int {
-	n := 0
-	for _, id := range ids.Sorted() {
-		if c, ok := e.byID[id].(failure.Corruptible); ok {
-			c.Corrupt(rng)
-			n++
-		}
-	}
-	return n
-}
-
-// CorruptEverything strikes all processes.
-func (e *Engine) CorruptEverything(rng *rand.Rand) int {
-	return e.Corrupt(rng, proc.Universe(len(e.procs)))
-}
-
-// Step executes one round with lagged delivery.
-func (e *Engine) Step() {
-	r := e.round
-	deviated := proc.NewSet()
-
-	for _, p := range e.procs {
-		id := p.ID()
-		if e.crashed.Has(id) {
-			continue
-		}
-		if cr := e.adv.CrashRound(id); cr != 0 && r >= cr && e.designed.Has(id) {
-			e.crashed.Add(id)
-			deviated.Add(id)
-		}
-	}
-	alive := proc.NewSet()
-	for _, p := range e.procs {
-		if !e.crashed.Has(p.ID()) {
-			alive.Add(p.ID())
-		}
-	}
-
-	start := make(map[proc.ID]round.Snapshot, alive.Len())
-	sent := make(map[proc.ID]any, alive.Len())
-	for _, p := range e.procs {
-		id := p.ID()
-		if !alive.Has(id) {
-			continue
-		}
-		start[id] = p.Snapshot()
-		if payload := p.StartRound(); payload != nil {
-			sent[id] = payload
-		}
-	}
-
-	// On-time messages of this round, bucketed per receiver by iterating
-	// senders in increasing ID order — sorted by sender by construction.
-	// The late messages held in pending were bucketed the same way by the
-	// previous round, so delivery is a stable two-way merge (pending first
-	// on sender ties), not a sort.
-	pending := e.pending
-	e.pending = make(map[proc.ID][]round.Message)
-	delivered := make(map[proc.ID][]round.Message, alive.Len())
-	aliveIDs := alive.Sorted()
-	for _, to := range aliveIDs {
-		var fresh []round.Message
-		for _, from := range aliveIDs {
-			payload, ok := sent[from]
-			if !ok {
-				continue
-			}
-			if from != to {
-				if e.designed.Has(from) && e.adv.DropSend(r, from, to) {
-					deviated.Add(from)
-					continue
-				}
-				if e.designed.Has(to) && e.adv.DropRecv(r, from, to) {
-					deviated.Add(to)
-					continue
-				}
-				if e.lag.Late(r, from, to) {
-					e.pending[to] = append(e.pending[to], round.Message{From: from, Payload: payload})
-					continue
-				}
-			}
-			fresh = append(fresh, round.Message{From: from, Payload: payload})
-		}
-		delivered[to] = mergeBySender(pending[to], fresh)
-	}
-
-	end := make(map[proc.ID]round.Snapshot, alive.Len())
-	for _, p := range e.procs {
-		id := p.ID()
-		if alive.Has(id) {
-			p.EndRound(delivered[id])
-			end[id] = p.Snapshot()
-		}
-	}
-
-	if len(e.obs) > 0 {
-		o := round.Observation{
-			Round:     r,
-			Alive:     alive,
-			Start:     start,
-			Sent:      sent,
-			Delivered: delivered,
-			End:       end,
-			Deviated:  deviated,
-		}
-		for _, ob := range e.obs {
-			ob.ObserveRound(o)
-		}
-	}
-	e.round++
-}
-
-// mergeBySender merges two message slices that are each already sorted by
-// sender into one sorted slice, late (pending) messages first on ties. It
-// replaces the sort.SliceStable pass the engine used to run per receiver.
-func mergeBySender(late, fresh []round.Message) []round.Message {
-	if len(late) == 0 {
-		return fresh
-	}
-	if len(fresh) == 0 {
-		return late
-	}
-	out := make([]round.Message, 0, len(late)+len(fresh))
-	i, j := 0, 0
-	for i < len(late) && j < len(fresh) {
-		if late[i].From <= fresh[j].From {
-			out = append(out, late[i])
-			i++
-		} else {
-			out = append(out, fresh[j])
-			j++
-		}
-	}
-	out = append(out, late[i:]...)
-	out = append(out, fresh[j:]...)
-	return out
-}
-
-// Run executes the next `rounds` rounds.
-func (e *Engine) Run(rounds int) {
-	for i := 0; i < rounds; i++ {
-		e.Step()
-	}
 }

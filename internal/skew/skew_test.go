@@ -21,38 +21,11 @@ func (l alwaysLate) Late(_ uint64, from, to proc.ID) bool {
 	return from == l.a && to == l.b
 }
 
-func TestEngineNoLagMatchesRound(t *testing.T) {
-	// With NoLag the skew engine and the plain engine produce identical
-	// clock trajectories for Figure 1.
-	cs1, ps1 := roundagree.Procs(4)
-	cs2, ps2 := roundagree.Procs(4)
-	for i := range cs1 {
-		cs1[i].CorruptTo(uint64(10 * (i + 1)))
-		cs2[i].CorruptTo(uint64(10 * (i + 1)))
-	}
-	adv := failure.NewRandom(failure.GeneralOmission, proc.NewSet(1), 0.4, 3, 0)
-	e1 := MustNewEngine(ps1, adv, NoLag{})
-	e2 := round.MustNewEngine(ps2, adv)
-	for r := 0; r < 15; r++ {
-		e1.Step()
-		e2.Step()
-		for i := range cs1 {
-			if cs1[i].Clock() != cs2[i].Clock() {
-				t.Fatalf("round %d: clocks diverge between engines at p%d", r+1, i)
-			}
-		}
-	}
-}
-
-func TestEngineValidation(t *testing.T) {
-	_, ps := roundagree.Procs(2)
-	if _, err := NewEngine(ps, nil, nil); err != nil {
-		t.Fatalf("defaults rejected: %v", err)
-	}
-	dup := []round.Process{roundagree.New(0), roundagree.New(0)}
-	if _, err := NewEngine(dup, nil, nil); err == nil {
-		t.Error("duplicate IDs accepted")
-	}
+// lagged builds the synchronous engine with a lag schedule attached.
+func lagged(ps []round.Process, adv failure.Adversary, lag round.Lag) *round.Engine {
+	e := round.MustNewEngine(ps, adv)
+	e.SetLag(lag)
+	return e
 }
 
 func TestLateDeliveryArrivesNextRound(t *testing.T) {
@@ -60,7 +33,7 @@ func TestLateDeliveryArrivesNextRound(t *testing.T) {
 	// one round later than p2.
 	cs, ps := roundagree.Procs(3)
 	cs[0].CorruptTo(100)
-	e := MustNewEngine(ps, nil, alwaysLate{a: 0, b: 1})
+	e := lagged(ps, nil, alwaysLate{a: 0, b: 1})
 	e.Step()
 	if cs[2].Clock() != 101 {
 		t.Errorf("p2 clock = %d, want 101 (on-time adoption)", cs[2].Clock())
@@ -79,7 +52,7 @@ func TestEqualityIsAbsorbing(t *testing.T) {
 	// Once all clocks are equal, arbitrary lag cannot break the agreement:
 	// self-delivery keeps every max at least the common value.
 	cs, ps := roundagree.Procs(4)
-	e := MustNewEngine(ps, nil, RandomLag{P: 0.9, Seed: 5})
+	e := lagged(ps, nil, RandomLag{P: 0.9, Seed: 5})
 	e.Run(30)
 	want := cs[0].Clock()
 	for _, c := range cs {
@@ -97,7 +70,7 @@ func TestAdversarialLagHoldsOneGapForever(t *testing.T) {
 	cs[0].CorruptTo(50)
 	cs[1].CorruptTo(1)
 	h := history.New(2, proc.NewSet())
-	e := MustNewEngine(ps, nil, alwaysLate{a: 0, b: 1})
+	e := lagged(ps, nil, alwaysLate{a: 0, b: 1})
 	e.Observe(h)
 	e.Run(40)
 
@@ -128,7 +101,7 @@ func TestRandomLagReachesExactAgreement(t *testing.T) {
 			c.Corrupt(rng)
 		}
 		h := history.New(4, proc.NewSet())
-		e := MustNewEngine(ps, nil, RandomLag{P: 0.4, Seed: seed})
+		e := lagged(ps, nil, RandomLag{P: 0.4, Seed: seed})
 		e.Observe(h)
 		e.Run(30)
 
@@ -149,13 +122,13 @@ func TestRandomLagReachesExactAgreement(t *testing.T) {
 }
 
 func TestWithinSkewPredicate(t *testing.T) {
-	// Build a tiny history via the plain engine (no lag) and check the
+	// Build a tiny history with no lag attached and check the
 	// degenerate and violated cases.
 	cs, ps := roundagree.Procs(2)
 	cs[0].CorruptTo(10)
 	cs[1].CorruptTo(13)
 	h := history.New(2, proc.NewSet())
-	e := MustNewEngine(ps, nil, NoLag{})
+	e := round.MustNewEngine(ps, nil)
 	e.Observe(h)
 	e.Run(5)
 
@@ -173,7 +146,7 @@ func TestWithinSkewPredicate(t *testing.T) {
 }
 
 // TestCompiledUnderRandomLag is the headline adaptation result: the
-// double-stepped Π⁺ ftss-solves repeated consensus on the lagged engine,
+// double-stepped Π⁺ ftss-solves repeated consensus under a lag schedule,
 // from corrupted states, with omission failures, checkable by the standard
 // Σ⁺ with doubled tiles.
 func TestCompiledUnderRandomLag(t *testing.T) {
@@ -189,7 +162,7 @@ func TestCompiledUnderRandomLag(t *testing.T) {
 			c.Corrupt(rng)
 		}
 		h := history.New(4, faulty)
-		e := MustNewEngine(ps, adv, RandomLag{P: 0.35, Seed: seed})
+		e := lagged(ps, adv, RandomLag{P: 0.35, Seed: seed})
 		e.Observe(h)
 		e.Run(60)
 
@@ -205,7 +178,7 @@ func TestCompiledCleanRunUnderLag(t *testing.T) {
 	pi := fullinfo.WavefrontConsensus{F: 1}
 	in := superimpose.ConstantInputs([]fullinfo.Value{8, 3, 5})
 	cs, ps := Procs(pi, 3, in)
-	e := MustNewEngine(ps, nil, RandomLag{P: 0.5, Seed: 2})
+	e := lagged(ps, nil, RandomLag{P: 0.5, Seed: 2})
 	e.Run(4 * TileWidth(pi)) // four iterations
 
 	for _, c := range cs {
@@ -245,37 +218,13 @@ func TestCompiledAccessorsAndCorrupt(t *testing.T) {
 	}
 }
 
-func TestEngineCorruptAndAccessors(t *testing.T) {
-	cs, ps := roundagree.Procs(3)
-	e := MustNewEngine(ps, nil, NoLag{})
-	if e.Round() != 1 {
-		t.Errorf("Round = %d", e.Round())
-	}
-	rng := rand.New(rand.NewSource(1))
-	if n := e.Corrupt(rng, proc.NewSet(0, 2)); n != 2 {
-		t.Errorf("Corrupt = %d", n)
-	}
-	if n := e.CorruptEverything(rng); n != 3 {
-		t.Errorf("CorruptEverything = %d", n)
-	}
-	_ = cs
-	adv := failure.NewScripted(1).CrashAt(1, 2)
-	cs2, ps2 := roundagree.Procs(2)
-	_ = cs2
-	e2 := MustNewEngine(ps2, adv, NoLag{})
-	e2.Run(3)
-	if !e2.Crashed().Equal(proc.NewSet(1)) {
-		t.Errorf("Crashed = %v", e2.Crashed())
-	}
-}
-
 // TestPendingToCrashedDropped: a late message to a process that crashes
 // before delivery vanishes (the receiver is gone).
 func TestPendingToCrashedDropped(t *testing.T) {
 	adv := failure.NewScripted(1).CrashAt(1, 2)
 	cs, ps := roundagree.Procs(2)
 	cs[0].CorruptTo(100)
-	e := MustNewEngine(ps, adv, alwaysLate{a: 0, b: 1})
+	e := lagged(ps, adv, alwaysLate{a: 0, b: 1})
 	e.Run(3) // p1 crashes at round 2; the late 100 never reaches it
 	if cs[1].Clock() >= 100 {
 		t.Error("crashed process received a late message")

@@ -187,10 +187,6 @@ func New(cfg Config) (*Transport, error) {
 // Addr is the bound listen address (useful with ":0").
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
 
-// Elapsed is the wall time since the transport started — the clock
-// LinkFaults verdicts are evaluated against.
-func (t *Transport) Elapsed() time.Duration { return time.Since(t.start) }
-
 // Stats snapshots the counters.
 func (t *Transport) Stats() Stats {
 	return Stats{
