@@ -452,26 +452,13 @@ func smrConflicts(rt *live.Runtime, n int) string {
 		p := p
 		var msg string
 		rt.Inspect(p, func(ap async.Proc) {
-			r := ap.(*smr.Replica)
-			f, ok := r.Frontier()
-			if !ok {
-				return
-			}
-			lo := uint64(0)
-			if f > smr.GossipWindow {
-				lo = f - smr.GossipWindow
-			}
-			for s := lo; s <= f; s++ {
-				v, ok := r.Get(s)
-				if !ok {
-					continue
-				}
-				if prev, dup := seen[s]; dup && prev != v {
+			for _, d := range ap.(*smr.Replica).Window() {
+				if prev, dup := seen[d.Slot]; dup && prev != d.Val {
 					msg = fmt.Sprintf("slot %d: %v holds %d, %v holds %d",
-						s, p, v, holder[s], prev)
+						d.Slot, p, d.Val, holder[d.Slot], prev)
 					return
 				}
-				seen[s], holder[s] = v, p
+				seen[d.Slot], holder[d.Slot] = d.Val, p
 			}
 		})
 		if msg != "" {

@@ -73,24 +73,11 @@ func E13RepeatedAsyncConsensus(cfg Config) *Table {
 				if !e.Correct().Has(r.ID()) {
 					continue
 				}
-				for slot := uint64(0); ; slot++ {
-					f, ok := r.Frontier()
-					if !ok {
-						break
+				for _, d := range r.Window() {
+					if prev, dup := seen[d.Slot]; dup && prev != d.Val {
+						conflict = true
 					}
-					lo := uint64(0)
-					if f > smr.GossipWindow {
-						lo = f - smr.GossipWindow
-					}
-					for s := lo; s <= f; s++ {
-						if v, ok := r.Get(s); ok {
-							if prev, dup := seen[s]; dup && prev != v {
-								conflict = true
-							}
-							seen[s] = v
-						}
-					}
-					break
+					seen[d.Slot] = d.Val
 				}
 				if f, ok := r.Frontier(); ok {
 					if firstF || f < minF {

@@ -271,9 +271,9 @@ func TestExpandDedupesCollidingID(t *testing.T) {
 	// Slot 0: the live decision. Slot 1: the corruption-minted collision,
 	// one slot later, well inside GossipWindow. Slot 2: a NoOp so the
 	// cursor sits past both.
-	b.put(0, entry{val: id})
-	b.put(1, entry{val: id})
-	b.put(2, entry{val: NoOp})
+	b.log.put(0, entry{val: id})
+	b.log.put(1, entry{val: id})
+	b.log.put(2, entry{val: NoOp})
 	b.cur = 3
 	b.expand(nil)
 	if b.next != 3 {
@@ -300,9 +300,9 @@ func TestExpandForfeitsUnknownID(t *testing.T) {
 	b.Submit(20)
 	b.sealTick() // hold path: not sealed yet (short queue)
 	const ghost = Value(7777)
-	b.put(0, entry{val: ghost})
+	b.log.put(0, entry{val: ghost})
 	for s := uint64(1); s <= 4; s++ {
-		b.put(s, entry{val: NoOp})
+		b.log.put(s, entry{val: NoOp})
 	}
 	b.cur = 5
 	b.expand(nil)
@@ -310,7 +310,7 @@ func TestExpandForfeitsUnknownID(t *testing.T) {
 		t.Fatalf("fold advanced to %d past an in-window unknown ID", b.next)
 	}
 	for s := uint64(5); s <= 8; s++ {
-		b.put(s, entry{val: NoOp})
+		b.log.put(s, entry{val: NoOp})
 	}
 	b.cur = 9 // cur-next = 9 > GossipWindow: the ghost is now forfeit
 	b.expand(nil)
@@ -333,7 +333,7 @@ func TestExpandJumpsCorruptedFrontier(t *testing.T) {
 	b.sealTick()
 	id := b.open[0].ID
 	const far = uint64(1) << 40
-	b.put(far-1, entry{val: id})
+	b.log.put(far-1, entry{val: id})
 	b.cur = far
 	b.expand(nil)
 	if b.next != far {

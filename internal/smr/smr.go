@@ -15,13 +15,12 @@
 //     validity sacrificed for slots minted by the corruption (exactly the
 //     trade §3 makes for single-shot decisions).
 //
-//   - The slot cursor is DERIVED state: a replica works on the slot after
-//     the largest it has a decision for. A corrupted cursor cannot strand
-//     a replica because the cursor is recomputed from the lattice on
-//     every step. "The largest slot held" is itself kept as a cache beside
-//     the map (see put) so the derivation is O(1); the cache is redundant
-//     state under local checking (§3 mechanism 3, [ASV91]) — every tick
-//     re-derives it from the map, so a corrupted cache lives one tick.
+//   - The slot cursor is DERIVED state: a replica works on the first slot
+//     missing from the top GossipWindow of its log, or on the slot after
+//     the largest it holds if none is missing. A corrupted cursor cannot
+//     strand a replica because the cursor is recomputed from the lattice
+//     on every step, and a slot adopted above a hole never moves the
+//     cursor past the hole.
 //
 //   - Slot instances are the ctcons state machine (re-send, round
 //     adoption, sanitization) with every message wrapped in its slot
@@ -29,14 +28,15 @@
 //     discarded, which is the per-slot version of "abandon all work of
 //     the current phase".
 //
-// The retained log IS the gossip window: every replica keeps and
-// re-announces its most recent GossipWindow decided slots and prunes
-// older ones. Everything retained is therefore continuously reconciled by
-// the lattice gossip — a corrupted entry that disagrees with a peer's is
-// overwritten by the join within one round-trip, and no stale conflict
-// can hide below the window. Applications that need the full log add
-// snapshotting/state transfer on top (out of scope); the correctness
-// predicate is suffix-shaped, like everything else in the paper:
+// The retained log IS the gossip window: every replica keeps the
+// GossipWindow slots under its cursor (and whatever it holds above it)
+// in a fixed ring, re-announces the top of its log, and forgets
+// everything older. Everything retained is therefore continuously
+// reconciled by the lattice gossip — a corrupted entry that disagrees
+// with a peer's is overwritten by the join within one round-trip, and no
+// stale conflict can hide below the window. Applications that need the
+// full log add snapshotting/state transfer on top (out of scope); the
+// correctness predicate is suffix-shaped, like everything else in the paper:
 // eventually, every retained slot is identical at all correct replicas
 // that hold it, and the decided frontier keeps advancing.
 //
@@ -45,7 +45,7 @@ package smr
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -94,6 +94,85 @@ type entry struct {
 	val   Value
 }
 
+// ringSize is how many consecutive slots the log spans: the gossip window
+// under the cursor and as much again above it, one bit of ring.held each.
+const ringSize = 2 * GossipWindow
+
+// ring is the log: it spans slots [base, base+ringSize), holds slot
+// base+i iff bit i of held is set, and keeps slot s's entry in
+// ents[s%ringSize]. Nothing else is stored: the cursor and the frontier
+// are functions of these three fields, and when nothing is held any base
+// is as good as any other, so no value of base can strand a replica.
+type ring struct {
+	base uint64
+	held uint16
+	ents [ringSize]entry
+}
+
+// get returns the entry held for slot; slots outside the span miss.
+func (g *ring) get(slot uint64) (entry, bool) {
+	if slot < g.base || slot-g.base >= ringSize || g.held&(1<<(slot-g.base)) == 0 {
+		return entry{}, false
+	}
+	return g.ents[slot%ringSize], true
+}
+
+// put stores e for slot. An empty ring re-anchors so that slot is the
+// top of the span; otherwise a slot below the span is dropped and one
+// above it slides the span up until slot is its top.
+func (g *ring) put(slot uint64, e entry) {
+	switch {
+	case g.held == 0:
+		g.base = slot - min(slot, ringSize-1)
+	case slot < g.base:
+		return
+	case slot-g.base >= ringSize:
+		g.rebase(slot - (ringSize - 1))
+	}
+	g.held |= 1 << (slot - g.base)
+	g.ents[slot%ringSize] = e
+}
+
+// rebase moves the span to start at base, forgetting what falls outside.
+func (g *ring) rebase(base uint64) {
+	if base >= g.base {
+		g.held >>= base - g.base
+	} else {
+		g.held <<= g.base - base
+	}
+	g.base = base
+}
+
+// end returns one past the largest slot held (base when nothing is).
+func (g *ring) end() uint64 { return g.base + uint64(bits.Len16(g.held)) }
+
+// cursor returns the first slot missing from the top GossipWindow of the
+// log, (max−GossipWindow, max], or max+1 if none is missing; 0 when the
+// ring is empty.
+func (g *ring) cursor() uint64 {
+	if g.held == 0 {
+		return 0
+	}
+	end := g.end()
+	lo := end - min(end, GossipWindow)
+	if lo < g.base {
+		return lo // below the span: not held
+	}
+	return lo + uint64(bits.TrailingZeros16(^(g.held >> (lo - g.base))))
+}
+
+// window returns the entries held in the GossipWindow slots below end,
+// in slot order.
+func (g *ring) window(end uint64) []SlotDecision {
+	var out []SlotDecision
+	for s := end - min(end, GossipWindow); s < end; s++ {
+		if e, ok := g.get(s); ok {
+			out = append(out, SlotDecision{Slot: s, Round: e.round, Val: e.val})
+		}
+	}
+	return out
+}
+
 // instance is the per-slot consensus state (a slim ctcons round machine;
 // the detector lives in the replica and is shared across slots).
 type instance struct {
@@ -136,15 +215,11 @@ type Replica struct {
 	n    int
 	cmds CommandSource
 	det  *detector.StrongCore
-	log  map[uint64]entry
-	// Frontier cache over log, maintained by put and re-derived from the
-	// map by recheck once per tick: max is the largest slot held (0 for
-	// an empty log), low a lower bound on the smallest.
-	max, low uint64
-	cur      uint64 // slot the active instance is for (derived; see syncCursor)
-	inst     *instance
-	pipe     int         // pipeline depth; ≤ 1 means no lookahead
-	aux      []lookahead // instances for slots cur+1 .. cur+pipe-1, in slot order
+	log  ring
+	cur  uint64 // slot the active instance is for (derived; see syncCursor)
+	inst *instance
+	pipe int         // pipeline depth; ≤ 1 means no lookahead
+	aux  []lookahead // instances for slots cur+1 .. cur+pipe-1, in slot order
 }
 
 var _ async.Proc = (*Replica)(nil)
@@ -159,9 +234,7 @@ func NewReplicas(n int, cmds CommandSource, weak detector.WeakDetector) ([]*Repl
 			n:    n,
 			cmds: cmds,
 			det:  detector.NewStrongCore(proc.ID(i), n, weak),
-			log:  make(map[uint64]entry),
 		}
-		rs[i].recheck()
 		rs[i].syncCursor()
 		aps[i] = rs[i]
 	}
@@ -176,45 +249,24 @@ func (r *Replica) CurrentSlot() uint64 { return r.cur }
 
 // Get returns the decided command for a slot.
 func (r *Replica) Get(slot uint64) (Value, bool) {
-	e, ok := r.log[slot]
+	e, ok := r.log.get(slot)
 	return e.val, ok
 }
 
-// Frontier returns the largest decided slot and whether any slot is
-// decided.
-func (r *Replica) Frontier() (uint64, bool) { return r.max, len(r.log) > 0 }
-
-// put is the log's only write path: it stores the entry and keeps the
-// frontier cache in step. Nothing ever removes the largest slot (prune
-// works below the window under it), so between two writes the cache
-// equals what a scan of the map would find.
-func (r *Replica) put(slot uint64, e entry) {
-	r.log[slot] = e
-	r.cover(slot)
+// Frontier returns the slot below the cursor the log derives (see
+// syncCursor), and whether there is one. Right after the cursor jumps to
+// a far-future window the frontier can be a slot nobody holds.
+func (r *Replica) Frontier() (uint64, bool) {
+	c := r.log.cursor()
+	return c - 1, c > 0
 }
 
-// cover widens the frontier cache to take in one held slot.
-func (r *Replica) cover(slot uint64) {
-	if slot > r.max {
-		r.max = slot
-	}
-	if slot < r.low {
-		r.low = slot
-	}
-}
-
-// recheck re-derives the frontier cache from the map. It runs once per
-// tick, so the cache is never trusted for longer than that: whatever a
-// systemic failure wrote into it is gone by the replica's next step.
-func (r *Replica) recheck() {
-	r.max, r.low = 0, math.MaxUint64
-	for s := range r.log {
-		r.cover(s)
-	}
-}
+// Window returns the decided entries in (f−GossipWindow, f], f the
+// frontier, in slot order: the retained log every replica reconciles.
+func (r *Replica) Window() []SlotDecision { return r.log.window(r.log.cursor()) }
 
 // LogLen returns the number of decided slots held.
-func (r *Replica) LogLen() int { return len(r.log) }
+func (r *Replica) LogLen() int { return bits.OnesCount16(r.log.held) }
 
 // Suspects implements detector.SuspectSource.
 func (r *Replica) Suspects() proc.Set { return r.det.Suspects() }
@@ -228,9 +280,7 @@ func (r *Replica) coord(round uint64) proc.ID { return proc.ID(round % uint64(r.
 // slots already run their round agreement. A lookahead decision is held
 // in its instance and committed strictly in slot order: pipelining never
 // puts a decision into the log above a slot the same replica has yet to
-// commit (TestPipelineHoldsDecisionOrder). That says nothing about gossip
-// adoption, which merges whatever entries arrive and can leave a slot
-// missing below the frontier (ROADMAP item 1). Depth 1 (the default)
+// commit (TestPipelineHoldsDecisionOrder). Depth 1 (the default)
 // behaves — message for message — exactly like the unpipelined replica.
 func (r *Replica) SetPipeline(d int) {
 	if d < 1 {
@@ -240,23 +290,14 @@ func (r *Replica) SetPipeline(d int) {
 	r.syncCursor()
 }
 
-func (r *Replica) depth() int {
-	if r.pipe < 1 {
-		return 1
-	}
-	return r.pipe
-}
-
 // syncCursor recomputes the working slot from the log lattice,
 // (re)creates or promotes instances when the slot changed, and commits
-// any held lookahead decisions whose turn has come. The cursor is never
-// trusted as stored state — this is what makes its corruption harmless.
+// any held lookahead decisions whose turn has come, then forgets the log
+// below the gossip window under the cursor. The cursor is never trusted
+// as stored state — this is what makes its corruption harmless.
 func (r *Replica) syncCursor() {
 	for {
-		want := uint64(0)
-		if f, ok := r.Frontier(); ok {
-			want = f + 1
-		}
+		want := r.log.cursor()
 		if r.inst == nil || r.cur != want {
 			if i := r.auxIndex(want); i >= 0 {
 				// Promote the lookahead instance: its in-flight round
@@ -277,11 +318,12 @@ func (r *Replica) syncCursor() {
 		r.inst = nil
 	}
 	// Reconcile the lookahead window [cur+1, cur+depth-1]: drop what fell
-	// outside it, then open the undecided slots it is missing. Both passes
-	// keep aux in slot order.
-	d := uint64(r.depth())
+	// outside it or was decided by adoption above a gap, then open the
+	// undecided slots it is missing. Both passes keep aux in slot order.
+	d := uint64(max(r.pipe, 1))
 	r.aux = slices.DeleteFunc(r.aux, func(a lookahead) bool {
-		return a.slot <= r.cur || a.slot >= r.cur+d
+		_, done := r.log.get(a.slot)
+		return done || a.slot <= r.cur || a.slot >= r.cur+d
 	})
 	i := 0 // aux[i] is the first lookahead at or above slot s
 	for s := r.cur + 1; s < r.cur+d; s++ {
@@ -289,25 +331,14 @@ func (r *Replica) syncCursor() {
 			i++
 			continue
 		}
-		if _, done := r.log[s]; done {
+		if _, done := r.log.get(s); done {
 			continue
 		}
 		r.aux = slices.Insert(r.aux, i, lookahead{slot: s, in: newInstance(r.cmds(r.id, s))})
 		i++
 	}
-	// Prune below the gossip window: retained ⟺ reconciled. The low-water
-	// mark says when nothing sits there, which is nearly always.
-	if r.cur > GossipWindow && r.low < r.cur-GossipWindow {
-		floor := r.cur - GossipWindow
-		r.low = r.max
-		for s := range r.log {
-			if s < floor {
-				delete(r.log, s)
-			} else if s < r.low {
-				r.low = s
-			}
-		}
-	}
+	// Retained ⟺ reconciled: the span starts GossipWindow under the cursor.
+	r.log.rebase(r.cur - min(r.cur, GossipWindow))
 }
 
 // auxIndex returns the position of slot's lookahead instance, or -1.
@@ -323,33 +354,21 @@ func (r *Replica) auxIndex(slot uint64) int {
 // adopt merges a decision into the log lattice (higher round wins, then
 // higher value).
 func (r *Replica) adopt(d SlotDecision) {
-	e, ok := r.log[d.Slot]
+	e, ok := r.log.get(d.Slot)
 	if !ok || d.Round > e.round || (d.Round == e.round && d.Val > e.val) {
-		r.put(d.Slot, entry{round: d.Round, val: d.Val})
+		r.log.put(d.Slot, entry{round: d.Round, val: d.Val})
 	}
 }
 
 // OnTick implements async.Proc.
 func (r *Replica) OnTick(ctx async.Context) {
 	r.det.OnTick(ctx)
-	r.recheck()
 	r.syncCursor()
 
-	// Gossip the most recent decided slots.
-	if f, ok := r.Frontier(); ok {
-		var entries []SlotDecision
-		lo := uint64(0)
-		if f+1 > GossipWindow {
-			lo = f + 1 - GossipWindow
-		}
-		for s := lo; s <= f; s++ {
-			if e, ok := r.log[s]; ok {
-				entries = append(entries, SlotDecision{Slot: s, Round: e.round, Val: e.val})
-			}
-		}
-		if len(entries) > 0 {
-			ctx.Broadcast(LogGossip{Entries: entries})
-		}
+	// Gossip the top of the log: above the cursor too, so a group that a
+	// far-future mint reached converges past it.
+	if r.log.held != 0 {
+		ctx.Broadcast(LogGossip{Entries: r.log.window(r.log.end())})
 	}
 
 	// Drive the pipeline: the commit slot first, then the lookahead slots
@@ -444,7 +463,7 @@ func (r *Replica) OnMessage(ctx async.Context, from proc.ID, payload any) {
 		}
 		// A slot we've already decided: answer with its decision so
 		// laggards catch up even outside the gossip window.
-		if e, ok := r.log[m.Slot]; ok {
+		if e, ok := r.log.get(m.Slot); ok {
 			ctx.Send(from, LogGossip{Entries: []SlotDecision{
 				{Slot: m.Slot, Round: e.round, Val: e.val},
 			}})
@@ -521,7 +540,7 @@ func (r *Replica) Corrupt(rng *rand.Rand) {
 		if rng.Intn(4) == 0 {
 			slot = uint64(rng.Int63n(1 << 20)) // far-future mint
 		}
-		r.put(slot, entry{
+		r.log.put(slot, entry{
 			round: uint64(rng.Int63n(1 << 20)),
 			val:   Value(rng.Int63n(1 << 20)),
 		})
@@ -553,5 +572,5 @@ func pick(ests map[proc.ID]ctcons.EstimateMsg) Value {
 
 // String aids debugging.
 func (r *Replica) String() string {
-	return fmt.Sprintf("replica[%v slot=%d round=%d log=%d]", r.id, r.cur, r.inst.round, len(r.log))
+	return fmt.Sprintf("replica[%v slot=%d round=%d log=%d]", r.id, r.cur, r.inst.round, r.LogLen())
 }

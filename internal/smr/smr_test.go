@@ -50,8 +50,11 @@ func verifyLogs(t *testing.T, rs []*Replica, correct proc.Set, n int,
 		if !correct.Has(r.ID()) {
 			continue
 		}
-		for slot := range r.log {
-			v, _ := r.Get(slot)
+		for slot := r.log.base; slot < r.log.base+ringSize; slot++ {
+			v, ok := r.Get(slot)
+			if !ok {
+				continue
+			}
 			if prev, ok := seen[slot]; ok && prev != v {
 				t.Fatalf("slot %d: conflicting values %d and %d", slot, prev, v)
 			}
@@ -246,9 +249,20 @@ func TestAccessors(t *testing.T) {
 	if v, _ := r.Get(3); v != 9 {
 		t.Error("lattice violated")
 	}
+	// Slots 0..2 are missing under slot 3: the cursor stays on the first.
 	r.syncCursor()
-	if r.CurrentSlot() != 4 {
-		t.Errorf("cursor = %d, want 4", r.CurrentSlot())
+	if r.CurrentSlot() != 0 {
+		t.Errorf("cursor = %d, want 0 (the first gap)", r.CurrentSlot())
+	}
+	if _, ok := r.Frontier(); ok {
+		t.Error("a log with slot 0 missing has no frontier")
+	}
+	for s := uint64(0); s < 3; s++ {
+		r.adopt(SlotDecision{Slot: s, Round: 1, Val: 9})
+	}
+	r.syncCursor()
+	if f, ok := r.Frontier(); r.CurrentSlot() != 4 || f != 3 || !ok {
+		t.Errorf("cursor = %d, frontier = %d,%v; want 4 and 3", r.CurrentSlot(), f, ok)
 	}
 }
 

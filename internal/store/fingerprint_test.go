@@ -24,7 +24,7 @@ func TestSimulationFingerprint(t *testing.T) {
 		golden string
 	}{
 		{"corrupt-60ms", Config{Shards: 2, Seed: 1, CorruptEvery: 60 * async.Millisecond},
-			"a706c20f149c983ce282fc835d51a1ee8a548f73eacd3b4062f6284cbe08fb7c"},
+			"648177f616758b867c8c12174bf25b6975210ae07e51714fea53064cc11b2567"},
 		{"fault-free", Config{Shards: 2, Seed: 1},
 			"5db84d8b5567bdd3932d81cb8ea9bc5c102d38471e53f4c5e6e08ccb8c408b20"},
 	} {

@@ -400,7 +400,7 @@ func (s *Shard) spanOpLocked(seq int64, now async.Time) {
 // stable segment reach and keep identical recent logs with a
 // non-regressing frontier.
 func (s *Shard) pollLocked() {
-	// One frontier read per replica: up collects who holds anything, w the
+	// One frontier read per replica: up collects who has a frontier, w the
 	// least frontier among them.
 	up := proc.NewSet()
 	w := uint64(0)
