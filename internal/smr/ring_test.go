@@ -70,7 +70,7 @@ func (m mapLog) corrupt(rng *rand.Rand, n int) {
 
 // checkModel holds a synced replica to the map model: the same slots
 // with the same values, the same cursor and frontier, and a lookahead
-// window in slot order inside (cur, cur+depth) with no instance open for
+// window in slot order inside (cur, cur+pipe) with no instance open for
 // a decided slot.
 func checkModel(t *testing.T, r *Replica, m mapLog, when string) {
 	t.Helper()
@@ -147,15 +147,19 @@ func TestRingMatchesMapModel(t *testing.T) {
 // TestScribbledRingRecovers: a systemic failure may write anything into
 // the ring's base. Whatever it wrote, the scribbled replica rejoins its
 // group, the group's frontier keeps advancing, and every slot two
-// replicas hold agrees.
+// replicas hold agrees. Where the scribble leaves nothing held at or
+// above the group's window, one gossip from a peer puts the replica back
+// on the peer's cursor at once; a far entry instead spreads like a
+// far-future mint.
 func TestScribbledRingRecovers(t *testing.T) {
 	for _, sc := range []struct {
-		name string
-		do   func(g *ring)
+		name   string
+		do     func(g *ring)
+		rejoin bool
 	}{
-		{"far base, nothing held", func(g *ring) { g.base, g.held = 1<<39, 0 }},
-		{"far base, one entry", func(g *ring) { g.base, g.held = 1<<39, 1 }},
-		{"base 0", func(g *ring) { g.base = 0 }},
+		{"far base, nothing held", func(g *ring) { g.base, g.held = 1<<39, 0 }, true},
+		{"far base, one entry", func(g *ring) { g.base, g.held = 1<<39, 1 }, false},
+		{"base 0", func(g *ring) { g.base = 0 }, true},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			rs, e, _ := build(3, nil, 5)
@@ -165,10 +169,17 @@ func TestScribbledRingRecovers(t *testing.T) {
 			e.RunUntil(300 * ms)
 			all := proc.Universe(3)
 			before := minFrontier(rs, all)
-			if before < 2*GossipWindow {
+			if before < 2*ringSize {
 				t.Fatalf("log too short (%d) to exercise the ring", before)
 			}
 			sc.do(&rs[0].log)
+			if sc.rejoin {
+				peer := &rs[1].log
+				rs[0].OnMessage(nil, 1, LogGossip{Entries: peer.window(peer.end())})
+				if got, want := rs[0].CurrentSlot(), rs[1].CurrentSlot(); got != want {
+					t.Fatalf("one gossip after the scribble the cursor is %d, the peer's %d", got, want)
+				}
+			}
 			for i := 0; i < 3; i++ {
 				e.RunFor(40 * ms)
 				f := minFrontier(rs, all)

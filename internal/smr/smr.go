@@ -317,7 +317,7 @@ func (r *Replica) syncCursor() {
 		r.adopt(SlotDecision{Slot: r.cur, Round: r.inst.decRound, Val: r.inst.decVal})
 		r.inst = nil
 	}
-	// Reconcile the lookahead window [cur+1, cur+depth-1]: drop what fell
+	// Reconcile the lookahead window [cur+1, cur+pipe-1]: drop what fell
 	// outside it or was decided by adoption above a gap, then open the
 	// undecided slots it is missing. Both passes keep aux in slot order.
 	d := uint64(max(r.pipe, 1))
