@@ -268,23 +268,23 @@ func (s *Shard) Submit(op Op) int64 {
 // maxSim further sim-time passes (an error: the shard is stuck).
 // The horizon is relative to the call so a long-lived server can keep
 // driving the same shard indefinitely.
+//
+// The shard steps one engine tick at a time and stops on the tick where
+// its last pending op applies, so a drive simulates only the time its
+// ops need. Corruption strikes and polls sit on their own absolute
+// grids (nextCorrupt, nextPoll) and every step ends on the next one
+// due, so where a drive stops never moves an observation.
 func (s *Shard) DriveAll() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	deadline := s.eng.Now() + maxSim
 	for s.pending > 0 {
-		if s.eng.Now() >= deadline {
+		now := s.eng.Now()
+		if now >= deadline {
 			return fmt.Errorf("%d ops unapplied at sim horizon %dms",
-				s.pending, s.eng.Now()/async.Millisecond)
+				s.pending, now/async.Millisecond)
 		}
-		s.advanceLocked(s.eng.Now() + 20*async.Millisecond)
-	}
-	return nil
-}
-
-func (s *Shard) advanceLocked(until async.Time) {
-	for {
-		next := until
+		next := now + async.Millisecond // the engine's TickEvery
 		if s.nextCorrupt > 0 && s.nextCorrupt < next {
 			next = s.nextCorrupt
 		}
@@ -292,7 +292,7 @@ func (s *Shard) advanceLocked(until async.Time) {
 			next = s.nextPoll
 		}
 		s.eng.RunUntil(next)
-		now := s.eng.Now()
+		now = s.eng.Now()
 		if s.nextCorrupt > 0 && now >= s.nextCorrupt {
 			victim := s.crng.Intn(len(s.reps))
 			s.reps[victim].Replica.Corrupt(s.crng)
@@ -307,17 +307,14 @@ func (s *Shard) advanceLocked(until async.Time) {
 					Fields: []obs.KV{{K: "victim", V: int64(victim)}}})
 			}
 		}
+		s.applyLocked(now)
 		if now >= s.nextPoll {
-			s.applyLocked(now)
 			s.pollLocked()
 			s.retryLocked(now)
 			s.nextPoll += pollEvery
 		}
-		if now >= until {
-			break
-		}
 	}
-	s.applyLocked(s.eng.Now())
+	return nil
 }
 
 // applyLocked folds newly committed commands into the CAS state
