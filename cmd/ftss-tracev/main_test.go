@@ -21,13 +21,17 @@ func storeTrace(t *testing.T, workers int) []byte {
 		Shards: 4, Seed: 5, MaxBatch: 8, Trace: true,
 		CorruptEvery: 60 * async.Millisecond,
 	})
+	// Rounds of 16 ops, each driven to completion, so the run lasts past
+	// several 60 ms strikes and the polls that close them.
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 128; i++ {
 		key := string(rune('a' + rng.Intn(16)))
 		st.Submit(store.Op{Key: key, Old: uint64(rng.Intn(3)), Val: int64(i)})
-	}
-	if err := st.Drive(workers); err != nil {
-		t.Fatal(err)
+		if i%16 == 15 {
+			if err := st.Drive(workers); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	var buf bytes.Buffer
 	if err := st.WriteTrace(&buf); err != nil {

@@ -21,9 +21,10 @@ import (
 // emitted the same commands, which reduces batched agreement to the
 // inner log's per-slot agreement.
 
-// NoOp is the reserved proposal of a replica with no sealed batch open.
-// Real batch IDs are non-negative, so NoOp never collides with one; a
-// slot that decides NoOp commits no commands.
+// NoOp is the reserved proposal that decides a slot without committing
+// a command: a replica woken by a peer's SlotMsg starts with it, and a
+// replica whose fold is stalled proposes it (see proposal). Real batch
+// IDs are non-negative, so NoOp never collides with one.
 const NoOp = Value(-1)
 
 // Batch is a sealed run of submitted commands under one consensus value.
@@ -112,8 +113,9 @@ type BatchingReplica struct {
 var _ async.Proc = (*BatchingReplica)(nil)
 
 // NewBatchingReplicas builds n batching replicas over a shared ◊W
-// detector. The inner replicas' command source is each frontend's oldest
-// open batch (or NoOp), so the consensus path needs no changes at all.
+// detector. The inner replicas' command source is each frontend's
+// proposal, so the consensus path only ever sees batch IDs, NoOp and
+// Idle.
 func NewBatchingReplicas(n int, weak detector.WeakDetector, pol BatchPolicy) ([]*BatchingReplica, []async.Proc) {
 	pol = pol.withDefaults()
 	bs := make([]*BatchingReplica, n)
@@ -125,7 +127,12 @@ func NewBatchingReplicas(n int, weak detector.WeakDetector, pol BatchPolicy) ([]
 			expanded: make(map[Value]uint64),
 		}
 	}
-	cmds := func(p proc.ID, slot uint64) Value { return bs[p].proposal() }
+	cmds := func(p proc.ID, slot uint64) Value {
+		if bs[p].Replica == nil {
+			return Idle // still being built: nothing is open yet
+		}
+		return bs[p].proposal(slot)
+	}
 	rs, _ := NewReplicas(n, cmds, weak)
 	aps := make([]async.Proc, n)
 	for i := range rs {
@@ -150,13 +157,56 @@ func (b *BatchingReplica) Backlog() int { return len(b.pending) }
 // commit order. The slice is owned by the replica; do not mutate.
 func (b *BatchingReplica) Decided() []Value { return b.out }
 
-// proposal is the inner replica's CommandSource: the oldest batch still
-// in flight, or NoOp when the window is empty.
-func (b *BatchingReplica) proposal() Value {
-	if len(b.open) == 0 {
+// proposal is the inner replica's CommandSource. For slot cur+k it is
+// the k-th open batch not already decided in the log between the fold
+// and the cursor, so a batch the log holds but the fold has not yet
+// retired is not decided again. With no such batch it is NoOp while the
+// fold is stalled — slots must keep deciding until the forfeit in expand
+// can fire — and Idle otherwise. Nothing here is stored: dormancy is
+// re-derived from the open window, the log and the fold on every step.
+func (b *BatchingReplica) proposal(slot uint64) Value {
+	k := slot - b.cur
+	for _, batch := range b.open {
+		if b.folding(batch.ID) {
+			continue
+		}
+		if k == 0 {
+			return batch.ID
+		}
+		k--
+	}
+	if b.stalled() {
 		return NoOp
 	}
-	return b.open[0].ID
+	return Idle
+}
+
+// folding reports whether id is decided at a slot in [next, cur): one the
+// fold will reach without another decision.
+func (b *BatchingReplica) folding(id Value) bool {
+	for s := max(b.next, b.log.base); s < b.cur; s++ {
+		if e, ok := b.log.get(s); ok && e.val == id {
+			return true
+		}
+	}
+	return false
+}
+
+// stalled reports whether the fold is waiting on a decided batch whose
+// contents it does not know.
+func (b *BatchingReplica) stalled() bool {
+	if b.next >= b.cur {
+		return false
+	}
+	id, ok := b.Get(b.next)
+	if !ok || id < 0 {
+		return false
+	}
+	if _, dup := b.expanded[id]; dup {
+		return false
+	}
+	_, known := b.known[id]
+	return !known
 }
 
 // OnTick implements async.Proc: seal per policy, re-announce the open

@@ -58,8 +58,15 @@ import (
 // Value is the command domain of the log.
 type Value = ctcons.Value
 
-// CommandSource supplies replica p's proposal for slot s. Pure function.
+// CommandSource supplies replica p's proposal for slot s. Returning Idle
+// leaves the slot dormant at p: no instance runs for it there until a
+// peer's SlotMsg for it arrives, and the source is asked again on every
+// step. A source that never returns Idle gets an instance for every slot.
 type CommandSource func(p proc.ID, slot uint64) Value
+
+// Idle is the CommandSource answer "nothing to propose here". It is
+// never an estimate, so it never enters consensus or the log.
+const Idle = Value(-2)
 
 // GossipWindow is how many recent decided slots each replica re-announces
 // per tick.
@@ -216,8 +223,8 @@ type Replica struct {
 	cmds CommandSource
 	det  *detector.StrongCore
 	log  ring
-	cur  uint64 // slot the active instance is for (derived; see syncCursor)
-	inst *instance
+	cur  uint64      // slot the active instance is for (derived; see syncCursor)
+	inst *instance   // nil while slot cur is dormant
 	pipe int         // pipeline depth; ≤ 1 means no lookahead
 	aux  []lookahead // instances for slots cur+1 .. cur+pipe-1, in slot order
 }
@@ -294,22 +301,24 @@ func (r *Replica) SetPipeline(d int) {
 // (re)creates or promotes instances when the slot changed, and commits
 // any held lookahead decisions whose turn has come, then forgets the log
 // below the gossip window under the cursor. The cursor is never trusted
-// as stored state — this is what makes its corruption harmless.
+// as stored state — this is what makes its corruption harmless. Neither
+// is dormancy: a slot without an instance asks the command source again
+// on every call, so the step after a proposal appears opens its slot.
 func (r *Replica) syncCursor() {
 	for {
 		want := r.log.cursor()
 		if r.inst == nil || r.cur != want {
+			r.cur, r.inst = want, nil
 			if i := r.auxIndex(want); i >= 0 {
 				// Promote the lookahead instance: its in-flight round
 				// work (and possibly its held decision) carries over.
 				r.inst = r.aux[i].in
 				r.aux = slices.Delete(r.aux, i, i+1)
-			} else {
-				r.inst = newInstance(r.cmds(r.id, want))
+			} else if v := r.cmds(r.id, want); v != Idle {
+				r.inst = newInstance(v)
 			}
-			r.cur = want
 		}
-		if !r.inst.decided {
+		if r.inst == nil || !r.inst.decided {
 			break
 		}
 		// Its turn in the commit order: the held decision enters the log
@@ -334,7 +343,11 @@ func (r *Replica) syncCursor() {
 		if _, done := r.log.get(s); done {
 			continue
 		}
-		r.aux = slices.Insert(r.aux, i, lookahead{slot: s, in: newInstance(r.cmds(r.id, s))})
+		v := r.cmds(r.id, s)
+		if v == Idle {
+			continue
+		}
+		r.aux = slices.Insert(r.aux, i, lookahead{slot: s, in: newInstance(v)})
 		i++
 	}
 	// Retained ⟺ reconciled: the span starts GossipWindow under the cursor.
@@ -377,8 +390,10 @@ func (r *Replica) OnTick(ctx async.Context) {
 	// driven again on the next tick, not twice in this one). Inside the
 	// loop aux is stable: a lookahead decision is only held, so the
 	// syncCursor it triggers finds the frontier, and with it the window,
-	// where they were.
-	r.driveInstance(ctx, r.cur, r.inst)
+	// where they were. A dormant commit slot sends nothing.
+	if r.inst != nil {
+		r.driveInstance(ctx, r.cur, r.inst)
+	}
 	for _, a := range r.aux {
 		r.driveInstance(ctx, a.slot, a.in)
 	}
@@ -454,6 +469,11 @@ func (r *Replica) OnMessage(ctx async.Context, from proc.ID, payload any) {
 		r.syncCursor()
 	case SlotMsg:
 		if m.Slot == r.cur {
+			if r.inst == nil {
+				// Woken: a peer is deciding our dormant commit slot, and
+				// it needs our participation, not a proposal.
+				r.inst = newInstance(NoOp)
+			}
 			r.onSlotMessage(r.inst, from, m.Inner)
 			return
 		}
@@ -467,6 +487,17 @@ func (r *Replica) OnMessage(ctx async.Context, from proc.ID, payload any) {
 			ctx.Send(from, LogGossip{Entries: []SlotDecision{
 				{Slot: m.Slot, Round: e.round, Val: e.val},
 			}})
+			return
+		}
+		// A dormant lookahead slot wakes the same way, in slot order.
+		if m.Slot > r.cur && m.Slot-r.cur < uint64(max(r.pipe, 1)) {
+			in := newInstance(NoOp)
+			i := slices.IndexFunc(r.aux, func(a lookahead) bool { return a.slot > m.Slot })
+			if i < 0 {
+				i = len(r.aux)
+			}
+			r.aux = slices.Insert(r.aux, i, lookahead{slot: m.Slot, in: in})
+			r.onSlotMessage(in, from, m.Inner)
 		}
 	}
 }
@@ -572,5 +603,8 @@ func pick(ests map[proc.ID]ctcons.EstimateMsg) Value {
 
 // String aids debugging.
 func (r *Replica) String() string {
+	if r.inst == nil {
+		return fmt.Sprintf("replica[%v slot=%d dormant log=%d]", r.id, r.cur, r.LogLen())
+	}
 	return fmt.Sprintf("replica[%v slot=%d round=%d log=%d]", r.id, r.cur, r.inst.round, r.LogLen())
 }

@@ -23,16 +23,16 @@ func TestSimulationFingerprint(t *testing.T) {
 		cfg    Config
 		golden string
 	}{
-		// Re-recorded when DriveAll began stopping at the tick its last op
-		// applies: every later submit starts from an earlier clock, so it
-		// meets each strike at a different point in its slot.
+		// Re-recorded when an idle group stopped deciding NoOp slots: each
+		// drive now ends sooner (makespan 1 748 → 1 412 ms), so every later
+		// submit meets each 60 ms strike at a different point in its slot.
 		{"corrupt-60ms", Config{Shards: 2, Seed: 1, CorruptEvery: 60 * async.Millisecond},
-			"d30555dbcefa0f95da9df631f51bddeae0da3948b2923ed816a56474f8b3f3a9"},
-		// Re-recorded for the same stop rule: with no strikes, the earlier
-		// start of every later op moves its batches, slots and the polls
-		// that observe them.
+			"55dc3abf20ebb0777111dde0d6afced4bfca69e6c31bd594f985dcc25c36bb4e"},
+		// Re-recorded for the same change: the 520 ops now take 141 slots
+		// instead of 427 and about half the messages, and the polls that
+		// observe them move with the shorter drives.
 		{"fault-free", Config{Shards: 2, Seed: 1},
-			"e14b84b8ca99689c8f720907340d42a125eed357993dea9b63960398ae621e96"},
+			"3041b3ce4e904479a019167b800ba51259c167104a2205d825b77663549d9ac2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := New(tc.cfg)

@@ -34,32 +34,59 @@ func seededOps(seed int64, n, keys int) []Op {
 	return ops
 }
 
+// TestStoreCASSemantics: four concurrent ops commit in whatever order
+// the log decides, and every result is what a single register yields
+// when it folds the committed stream (reps[0]'s, the one applyLocked
+// folds) in that order.
 func TestStoreCASSemantics(t *testing.T) {
 	st := New(Config{Shards: 1, Seed: 3, MaxBatch: 8})
 	sh := st.Shard(0)
-	a := sh.Submit(Op{Key: "x", Old: 0, Val: 10})
-	b := sh.Submit(Op{Key: "x", Old: 1, Val: 20})
-	c := sh.Submit(Op{Key: "x", Old: 1, Val: 30}) // stale: version is 2 by then
-	d := sh.Submit(Op{Key: "y", Old: 0, Val: 40})
+	ops := []Op{
+		{Key: "x", Old: 0, Val: 10},
+		{Key: "x", Old: 1, Val: 20},
+		{Key: "x", Old: 1, Val: 30}, // at most one of the two Old: 1 ops succeeds
+		{Key: "y", Old: 0, Val: 40},
+	}
+	for i, op := range ops {
+		if id := sh.Submit(op); id != int64(i) {
+			t.Fatalf("op %d got id %d", i, id)
+		}
+	}
 	if err := st.Drive(1); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		id   int64
-		want Result
-	}{
-		{a, Result{OK: true, Version: 1, Val: 10}},
-		{b, Result{OK: true, Version: 2, Val: 20}},
-		{c, Result{OK: false, Version: 2, Val: 20}},
-		{d, Result{OK: true, Version: 1, Val: 40}},
-	} {
-		got, ok := sh.Result(tc.id)
-		if !ok || got != tc.want {
-			t.Fatalf("op %d: result %+v,%v want %+v", tc.id, got, ok, tc.want)
+	model := map[string]kvEntry{}
+	want := map[int64]Result{}
+	for _, c := range sh.reps[0].Decided() {
+		seq := int64(c)
+		if seq < 0 || seq >= int64(len(ops)) {
+			t.Fatalf("committed stream carries unknown command %d", seq)
+		}
+		if _, dup := want[seq]; dup {
+			continue
+		}
+		op, e := ops[seq], model[ops[seq].Key]
+		if op.Old == e.ver {
+			e = kvEntry{ver: e.ver + 1, val: op.Val}
+			model[op.Key] = e
+			want[seq] = Result{OK: true, Version: e.ver, Val: e.val}
+		} else {
+			want[seq] = Result{OK: false, Version: e.ver, Val: e.val}
 		}
 	}
-	if ver, val := sh.Get("x"); ver != 2 || val != 20 {
-		t.Fatalf("x = v%d %d, want v2 20", ver, val)
+	if len(want) != len(ops) {
+		t.Fatalf("committed stream holds %d of %d ops", len(want), len(ops))
+	}
+	for id := range ops {
+		got, ok := sh.Result(int64(id))
+		if !ok || got != want[int64(id)] {
+			t.Fatalf("op %d: result %+v,%v want %+v", id, got, ok, want[int64(id)])
+		}
+	}
+	for key, e := range model {
+		if ver, val := sh.Get(key); ver != e.ver || val != e.val {
+			t.Fatalf("%s = v%d %d, want v%d %d", key, ver, val, e.ver, e.val)
+		}
 	}
 	if err := st.Report(&bytes.Buffer{}); err != nil {
 		t.Fatalf("clean run verdicts: %v", err)
@@ -234,11 +261,15 @@ func TestStoreTraceWorkersByteIdentical(t *testing.T) {
 			Shards: 8, Seed: 5, MaxBatch: 8, Trace: true,
 			CorruptEvery: 60 * async.Millisecond,
 		})
-		for _, op := range seededOps(11, 256, 64) {
+		// Rounds of 32 ops, each driven to completion, so the run lasts
+		// past several 60 ms strikes and the polls that close them.
+		for i, op := range seededOps(11, 256, 64) {
 			st.Submit(op)
-		}
-		if err := st.Drive(workers); err != nil {
-			t.Fatal(err)
+			if i%32 == 31 {
+				if err := st.Drive(workers); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		var tr bytes.Buffer
 		if err := st.WriteTrace(&tr); err != nil {
