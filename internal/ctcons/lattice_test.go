@@ -83,29 +83,31 @@ func TestBaselineRegisterIsFirstWriteWins(t *testing.T) {
 }
 
 // TestAdvanceClearsPerRoundState: advancing abandons exactly the per-round
-// work and nothing else.
+// work and nothing else; a future round's buffered traffic (kept while
+// AdoptRounds is off) becomes the new round's.
 func TestAdvanceClearsPerRoundState(t *testing.T) {
-	p := New(0, 3, 7, Stabilizing(), quietWeak(3))
-	p.estimate = 42
-	p.ts = 3
-	p.round = 5
-	b := p.buf(5)
-	b.acks.Add(1)
-	b.estimates[1] = EstimateMsg{Round: 5, Val: 1, TS: 1}
-	p.proposed = true
-	p.buf(9) // future-round buffer survives
+	m := NewMachine(0, 3, 42, Baseline())
+	m.ts = 3
+	m.round = 6 // coordinated by p0, as round 9 is
+	m.OnMessage(1, EstimateMsg{Round: 6, Val: 1, TS: 1})
+	m.OnMessage(1, AckMsg{Round: 6})
+	m.OnMessage(2, EstimateMsg{Round: 9, Val: 2, TS: 2}) // future round: buffered
+	m.proposed = true
 
-	p.advanceTo(9)
-	if p.round != 9 || p.proposed || p.sentEstimate {
+	m.advanceTo(9)
+	if m.round != 9 || m.proposed || m.sentEstimate {
 		t.Error("per-round flags not reset")
 	}
-	if _, ok := p.bufs[5]; ok {
-		t.Error("stale buffer kept")
+	if m.cur.acks.Len() != 0 || m.cur.senders.Has(1) {
+		t.Error("stale round's traffic kept")
 	}
-	if _, ok := p.bufs[9]; !ok {
-		t.Error("future buffer dropped")
+	if !m.cur.senders.Has(2) || m.cur.ests[2].Val != 2 {
+		t.Error("future round's buffered estimate dropped")
 	}
-	if p.estimate != 42 || p.ts != 3 {
+	if len(m.later) != 0 {
+		t.Errorf("%d future tallies left after their round became current", len(m.later))
+	}
+	if m.estimate != 42 || m.ts != 3 {
 		t.Error("estimate/ts must survive round changes (CT locking)")
 	}
 }

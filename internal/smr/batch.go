@@ -3,6 +3,7 @@ package smr
 import (
 	"math/rand"
 
+	"ftss/internal/ctcons"
 	"ftss/internal/detector"
 	"ftss/internal/proc"
 	"ftss/internal/sim/async"
@@ -23,9 +24,9 @@ import (
 
 // NoOp is the reserved proposal that decides a slot without committing
 // a command: a replica woken by a peer's SlotMsg starts with it, and a
-// replica whose fold is stalled proposes it (see proposal). Real batch
-// IDs are non-negative, so NoOp never collides with one.
-const NoOp = Value(-1)
+// replica whose fold is stalled proposes it (see proposal). It is
+// ctcons's sentinel, which a coordinator passes over on a timestamp tie.
+const NoOp = ctcons.NoOp
 
 // Batch is a sealed run of submitted commands under one consensus value.
 type Batch struct {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ftss/internal/ctcons"
 	"ftss/internal/detector"
 	"ftss/internal/proc"
 	"ftss/internal/sim/async"
@@ -230,17 +231,18 @@ func TestPipelineHoldsDecisionOrder(t *testing.T) {
 	rs, _, _ := build(3, nil, 3)
 	r := rs[0]
 	r.SetPipeline(3)
-	if len(r.aux) != 2 {
-		t.Fatalf("lookahead window = %d instances, want 2", len(r.aux))
+	if len(r.ins) != 3 {
+		t.Fatalf("window = %d instances, want the commit slot and 2 lookaheads", len(r.ins))
 	}
-	in := r.aux[r.auxIndex(r.cur+1)].in
-	in.decided, in.decRound, in.decVal = true, 0, 42
+	in := r.at(r.cur + 1)
+	in.decided, in.dec = true, ctcons.DecideMsg{Val: 42}
 	r.syncCursor()
 	if _, ok := r.Get(r.cur + 1); ok {
 		t.Fatal("held decision leaked into the log before its slot's turn")
 	}
 	// Decide the commit slot: both decisions must now commit, in order.
-	r.inst.decided, r.inst.decRound, r.inst.decVal = true, 0, 41
+	in = r.at(r.cur)
+	in.decided, in.dec = true, ctcons.DecideMsg{Val: 41}
 	r.syncCursor()
 	if v, ok := r.Get(0); !ok || v != 41 {
 		t.Fatalf("slot 0 = %d,%v want 41", v, ok)
