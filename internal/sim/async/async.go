@@ -44,6 +44,11 @@ type Context interface {
 	Now() Time
 	// Send schedules delivery of payload to the process `to` after a
 	// random link delay. Sending to self is allowed.
+	//
+	// Payloads are immutable once sent: a Broadcast hands every receiver
+	// the same boxed value, and a sender may send one boxed value again on
+	// later steps while its content is unchanged. Neither a sender nor a
+	// receiver may write through a payload after Send.
 	Send(to proc.ID, payload any)
 	// Broadcast sends payload to every process, including the sender.
 	Broadcast(payload any)
@@ -125,15 +130,17 @@ func (ev *event) before(o *event) bool {
 	return ev.seq < o.seq
 }
 
-// eventHeap is a binary min-heap of events under before.
-type eventHeap []*event
+// eventHeap is a binary min-heap of events under before. Events live by
+// value in the slice, so scheduling one allocates nothing once the slice
+// has grown to the queue's high-water mark.
+type eventHeap []event
 
-func (h *eventHeap) push(ev *event) {
+func (h *eventHeap) push(ev event) {
 	q := append(*h, ev)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !ev.before(q[parent]) {
+		if !ev.before(&q[parent]) {
 			break
 		}
 		q[i] = q[parent]
@@ -144,12 +151,13 @@ func (h *eventHeap) push(ev *event) {
 }
 
 // pop removes and returns the earliest event. The heap must be non-empty.
-func (h *eventHeap) pop() *event {
+// The vacated slot is zeroed so the slice retains no payload.
+func (h *eventHeap) pop() event {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = nil
+	q[n] = event{}
 	q = q[:n]
 	*h = q
 	if n == 0 {
@@ -162,10 +170,10 @@ func (h *eventHeap) pop() *event {
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && q[r].before(q[child]) {
+		if r := child + 1; r < n && q[r].before(&q[child]) {
 			child = r
 		}
-		if !q[child].before(last) {
+		if !q[child].before(&last) {
 			break
 		}
 		q[i] = q[child]
@@ -220,7 +228,7 @@ func NewEngine(procs []Proc, cfg Config) (*Engine, error) {
 	// Stagger initial ticks so processes do not step in lockstep.
 	for _, p := range procs {
 		at := Time(1) + Time(e.rng.Int63n(int64(cfg.TickEvery)))
-		e.push(&event{at: at, kind: evTick, to: p.ID()})
+		e.push(event{at: at, kind: evTick, to: p.ID()})
 	}
 	return e, nil
 }
@@ -285,7 +293,7 @@ func (e *Engine) CorruptEverything(rng *rand.Rand) int {
 // has reports whether id names one of the engine's processes.
 func (e *Engine) has(id proc.ID) bool { return id >= 0 && int(id) < len(e.byID) }
 
-func (e *Engine) push(ev *event) {
+func (e *Engine) push(ev event) {
 	ev.seq = e.seq
 	e.seq++
 	e.pq.push(ev)
@@ -312,7 +320,7 @@ func (e *Engine) Step() bool {
 			e.byID[ev.to].OnTick(ctx)
 			next := ev.at + e.cfg.TickEvery
 			if !e.isCrashedAt(ev.to, next) {
-				e.push(&event{at: next, kind: evTick, to: ev.to})
+				e.push(event{at: next, kind: evTick, to: ev.to})
 			} else {
 				e.crashed.Add(ev.to)
 			}
@@ -361,7 +369,7 @@ func (c *procCtx) Send(to proc.ID, payload any) {
 	if span := int64(maxDelay - e.cfg.MinDelay); span > 0 {
 		delay += Time(e.rng.Int63n(span + 1))
 	}
-	e.push(&event{at: e.now + delay, kind: evDeliver, to: to, from: c.self, payload: payload})
+	e.push(event{at: e.now + delay, kind: evDeliver, to: to, from: c.self, payload: payload})
 }
 
 func (c *procCtx) Broadcast(payload any) {
