@@ -2,6 +2,7 @@ package ctcons
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ftss/internal/detector"
@@ -314,6 +315,44 @@ func TestSanitizeClampsTimestamp(t *testing.T) {
 	m.sanitize()
 	if m.ts != 10 {
 		t.Errorf("ts = %d, want clamped to 10", m.ts)
+	}
+}
+
+// TestParticipantTickAllocatesNothing: a non-coordinator's tick in a
+// round whose estimate has not changed re-sends the EstimateMsg boxed on
+// its first tick and asks the detector about the coordinator without
+// building a suspect set.
+func TestParticipantTickAllocatesNothing(t *testing.T) {
+	det := detector.NewStrongCore(1, 3, quietWeak(3))
+	m := NewMachine(1, 3, 7, Stabilizing())
+	var out []Send
+	avg := testing.AllocsPerRun(100, func() { out, _ = m.Tick(det) })
+	if avg != 0 {
+		t.Errorf("participant Tick allocates %.1f times, want 0", avg)
+	}
+	want := []Send{{proc.None, RoundMsg{Round: 0}}, {0, EstimateMsg{Round: 0, Val: 7}}}
+	if m.Round() != 0 || !slices.Equal(out, want) {
+		t.Fatalf("round %d, sends %v; want round 0, %v", m.Round(), out, want)
+	}
+}
+
+// TestScribbledBoxesAreNotSent: the estimate and proposal boxes are
+// compared with the round state before they are re-sent, so a machine
+// whose boxes were scribbled over sends what a fresh one sends.
+func TestScribbledBoxesAreNotSent(t *testing.T) {
+	det := detector.NewStrongCore(0, 3, quietWeak(3))
+	m := NewMachine(0, 3, 7, Stabilizing())
+	m.estimates(EstimateMsg{Round: 0, Val: 7}, EstimateMsg{Round: 0, Val: 8})
+	m.estBox = EstimateMsg{Round: 5, Val: -3, TS: 4}
+	m.propBox = ProposeMsg{Round: 5, Val: -3}
+	out, _ := m.Tick(det)
+	want := []Send{
+		{proc.None, RoundMsg{Round: 0}},
+		{0, EstimateMsg{Round: 0, Val: 7}},
+		{proc.None, ProposeMsg{Round: 0, Val: 7}},
+	}
+	if !slices.Equal(out, want) {
+		t.Fatalf("sends %v, want %v", out, want)
 	}
 }
 

@@ -46,6 +46,12 @@ type Machine struct {
 	cur   tally             // this round's traffic
 	later map[uint64]*tally // future rounds' traffic, kept only while AdoptRounds is off
 	out   [4]Send           // Tick's result: at most four sends per sweep
+
+	// The last EstimateMsg and ProposeMsg Tick boxed. Tick sends one again
+	// only after comparing it with the message it would build, so neither
+	// is state: Corrupt leaves them alone, and no value of theirs can
+	// change what is sent.
+	estBox, propBox any
 }
 
 // tally is the traffic one round has delivered: the estimates, dense by
@@ -110,7 +116,11 @@ func (m *Machine) Tick(det *detector.StrongCore) ([]Send, bool) {
 	// Phase 1: estimate to the coordinator (re-sent under mechanism 1).
 	if m.cfg.Resend || !m.sentEstimate {
 		m.sentEstimate = true
-		out = append(out, Send{c, EstimateMsg{Round: r, Val: m.estimate, TS: m.ts}})
+		est := EstimateMsg{Round: r, Val: m.estimate, TS: m.ts}
+		if old, ok := m.estBox.(EstimateMsg); !ok || old != est {
+			m.estBox = est
+		}
+		out = append(out, Send{c, m.estBox})
 	}
 
 	// Phase 3, suspect branch: nack, move on, and announce the new round.
@@ -118,7 +128,7 @@ func (m *Machine) Tick(det *detector.StrongCore) ([]Send, bool) {
 	// participant lingers in the round after acking, and a coordinator
 	// that crashed after proposing would otherwise strand it forever; ◊S
 	// strong completeness guarantees the suspicion that frees it.
-	if c != m.self && det.Suspects().Has(c) {
+	if c != m.self && det.Suspected(c) {
 		out = append(out, Send{c, NackMsg{Round: r}})
 		m.advanceTo(r + 1)
 		if m.cfg.AdoptRounds {
@@ -155,7 +165,11 @@ func (m *Machine) Tick(det *detector.StrongCore) ([]Send, bool) {
 	}
 	if m.cfg.Resend || !m.sentPropose {
 		m.sentPropose = true
-		out = append(out, Send{proc.None, ProposeMsg{Round: r, Val: m.propVal}})
+		prop := ProposeMsg{Round: r, Val: m.propVal}
+		if old, ok := m.propBox.(ProposeMsg); !ok || old != prop {
+			m.propBox = prop
+		}
+		out = append(out, Send{proc.None, m.propBox})
 	}
 	if m.cur.acks.Len() >= m.majority() {
 		return out, true

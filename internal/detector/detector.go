@@ -99,10 +99,6 @@ func (w *SimulatedWeak) coin(now async.Time, p, s proc.ID, salt uint64) float64 
 // Detect implements WeakDetector.
 func (w *SimulatedWeak) Detect(now async.Time, p proc.ID) proc.Set {
 	out := proc.NewSet()
-	if _, pDead := w.CrashAt[p]; pDead {
-		// Crashed queriers get arbitrary output; they're not constrained.
-		_ = pDead
-	}
 	anchor := w.Anchor()
 	witness := w.Witness()
 	for i := 0; i < w.N; i++ {
@@ -189,13 +185,13 @@ func NewStrongCore(self proc.ID, n int, weak WeakDetector) *StrongCore {
 // broadcasts the current records.
 func (c *StrongCore) OnTick(ctx async.Context) {
 	// when detect(s): num[s]++; state[s] := dead.
-	for _, s := range c.weak.Detect(ctx.Now(), c.self).Sorted() {
+	c.weak.Detect(ctx.Now(), c.self).ForEach(func(s proc.ID) {
 		if int(s) < 0 || int(s) >= c.n || s == c.self {
-			continue
+			return
 		}
 		c.recs[s].Num++
 		c.recs[s].Dead = true
-	}
+	})
 	// when p = s: num[s]++; state[s] := alive.
 	c.recs[c.self].Num++
 	c.recs[c.self].Dead = false
@@ -230,6 +226,12 @@ func (c *StrongCore) Suspects() proc.Set {
 		}
 	}
 	return out
+}
+
+// Suspected reports whether q is in the ◊S output, without building the
+// set Suspects returns.
+func (c *StrongCore) Suspected(q proc.ID) bool {
+	return q >= 0 && int(q) < c.n && c.recs[q].Dead
 }
 
 // Record exposes one target's (num, state) pair for tests and traces.

@@ -240,6 +240,26 @@ func TestStrongCoreCorrupt(t *testing.T) {
 	}
 }
 
+// TestSuspectedMatchesSuspects: the allocation-free membership query
+// answers as the ◊S set does, for every process and for IDs outside the
+// group, on corrupted records.
+func TestSuspectedMatchesSuspects(t *testing.T) {
+	c := NewStrongCore(0, 5, weakFor(5, nil, 1))
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20; i++ {
+		c.Corrupt(rng)
+		set := c.Suspects()
+		for q := proc.ID(-1); q <= 6; q++ {
+			if got, want := c.Suspected(q), set.Has(q); got != want {
+				t.Fatalf("strike %d: Suspected(%v) = %v, Suspects() %v", i, q, got, set)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Suspected(2) }); n != 0 {
+		t.Errorf("Suspected allocates %.1f times, want 0", n)
+	}
+}
+
 func TestVerifyRejectsViolations(t *testing.T) {
 	correct := proc.NewSet(0, 1)
 	crash := map[proc.ID]async.Time{2: 0}

@@ -171,7 +171,7 @@ func TestScribbledRingRecovers(t *testing.T) {
 			sc.do(&rs[0].log)
 			if sc.rejoin {
 				peer := &rs[1].log
-				rs[0].OnMessage(nil, 1, LogGossip{Entries: peer.window(peer.end())})
+				rs[0].OnMessage(nil, 1, LogGossip{Entries: peer.window(nil, peer.end())})
 				if got, want := rs[0].CurrentSlot(), rs[1].CurrentSlot(); got != want {
 					t.Fatalf("one gossip after the scribble the cursor is %d, the peer's %d", got, want)
 				}

@@ -170,16 +170,15 @@ func (g *ring) cursor() uint64 {
 	return lo + uint64(bits.TrailingZeros16(^(g.held >> (lo - g.base))))
 }
 
-// window returns the entries held in the GossipWindow slots below end,
-// in slot order.
-func (g *ring) window(end uint64) []SlotDecision {
-	var out []SlotDecision
+// window appends to dst the entries held in the GossipWindow slots below
+// end, in slot order.
+func (g *ring) window(dst []SlotDecision, end uint64) []SlotDecision {
 	for s := end - min(end, GossipWindow); s < end; s++ {
 		if e, ok := g.get(s); ok {
-			out = append(out, SlotDecision{Slot: s, Round: e.round, Val: e.val})
+			dst = append(dst, SlotDecision{Slot: s, Round: e.round, Val: e.val})
 		}
 	}
-	return out
+	return dst
 }
 
 // instance is one slot's consensus: the ctcons round machine (the
@@ -192,6 +191,20 @@ type instance struct {
 	slot    uint64
 	decided bool
 	dec     ctcons.DecideMsg
+	sent    [4]any // the SlotMsgs of the last Tick's sends (a Tick sends at most four)
+}
+
+// wrap returns msg in a SlotMsg for the instance's slot, reusing one the
+// last Tick boxed when its content is equal: the content is compared, so
+// no stored box can make the instance send anything else than a fresh
+// SlotMsg would carry.
+func (in *instance) wrap(msg any) any {
+	for _, box := range in.sent {
+		if old, ok := box.(SlotMsg); ok && old.Slot == in.slot && old.Inner == msg {
+			return box
+		}
+	}
+	return SlotMsg{Slot: in.slot, Inner: msg}
 }
 
 // Replica is one member of the replicated log.
@@ -204,6 +217,11 @@ type Replica struct {
 	cur  uint64      // the commit slot (derived; see syncCursor)
 	pipe int         // pipeline depth; 1 means no lookahead
 	ins  []*instance // open instances in [cur, cur+pipe), in slot order; a slot without one is dormant
+
+	// The last LogGossip boxed by OnTick and by the decided-slot reply.
+	// Each is sent again only after an entry-by-entry comparison with
+	// the log, so neither is state: Corrupt leaves them alone.
+	gossip, reply any
 }
 
 var _ async.Proc = (*Replica)(nil)
@@ -248,7 +266,9 @@ func (r *Replica) Frontier() (uint64, bool) {
 
 // Window returns the decided entries in (f−GossipWindow, f], f the
 // frontier, in slot order: the retained log every replica reconciles.
-func (r *Replica) Window() []SlotDecision { return r.log.window(r.log.cursor()) }
+func (r *Replica) Window() []SlotDecision {
+	return r.log.window(make([]SlotDecision, 0, GossipWindow), r.log.cursor())
+}
 
 // LogLen returns the number of decided slots held.
 func (r *Replica) LogLen() int { return bits.OnesCount16(r.log.held) }
@@ -340,7 +360,12 @@ func (r *Replica) OnTick(ctx async.Context) {
 	// Gossip the top of the log: above the cursor too, so a group that a
 	// far-future mint reached converges past it.
 	if r.log.held != 0 {
-		ctx.Broadcast(LogGossip{Entries: r.log.window(r.log.end())})
+		var buf [GossipWindow]SlotDecision
+		top := r.log.window(buf[:0], r.log.end())
+		if old, ok := r.gossip.(LogGossip); !ok || !slices.Equal(old.Entries, top) {
+			r.gossip = LogGossip{Entries: append([]SlotDecision(nil), top...)}
+		}
+		ctx.Broadcast(r.gossip)
 	}
 
 	// Drive the pipeline in slot order, the commit slot first. Its
@@ -367,13 +392,17 @@ func (r *Replica) driveInstance(ctx async.Context, in *instance) {
 		return
 	}
 	out, decided := in.Tick(r.det)
-	for _, s := range out {
-		if m := (SlotMsg{Slot: in.slot, Inner: s.Msg}); s.To == proc.None {
+	var sent [len(in.sent)]any
+	for i, s := range out {
+		m := in.wrap(s.Msg)
+		sent[i] = m
+		if s.To == proc.None {
 			ctx.Broadcast(m)
 		} else {
 			ctx.Send(s.To, m)
 		}
 	}
+	in.sent = sent
 	if decided {
 		in.decided, in.dec = true, in.Decision()
 		r.syncCursor() // commits in slot order; a lookahead slot waits its turn
@@ -397,7 +426,11 @@ func (r *Replica) OnMessage(ctx async.Context, from proc.ID, payload any) {
 			// A slot we've already decided: answer with its decision so
 			// laggards catch up even outside the gossip window.
 			if e, ok := r.log.get(m.Slot); ok {
-				ctx.Send(from, LogGossip{Entries: []SlotDecision{{Slot: m.Slot, Round: e.round, Val: e.val}}})
+				d := SlotDecision{Slot: m.Slot, Round: e.round, Val: e.val}
+				if old, ok := r.reply.(LogGossip); !ok || len(old.Entries) != 1 || old.Entries[0] != d {
+					r.reply = LogGossip{Entries: []SlotDecision{d}}
+				}
+				ctx.Send(from, r.reply)
 				return
 			}
 			// Woken: a peer is deciding a slot of our window that is
