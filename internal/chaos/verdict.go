@@ -52,6 +52,12 @@ type Recorder struct {
 	start     map[proc.ID]round.Snapshot
 	end       map[proc.ID]round.Snapshot
 	delivered map[proc.ID][]round.Message
+
+	// cells[p] is the DecisionCell last boxed for p. The history keeps
+	// every poll's snapshots, so an unchanged register is boxed once and
+	// shared by every poll that records it; the box is reused only after
+	// comparing it with the new cell.
+	cells []any
 }
 
 // RecorderInstruments holds the verdict recorder's telemetry hooks. Nil
@@ -82,6 +88,7 @@ func NewRecorder(n int) *Recorder {
 		start:     make(map[proc.ID]round.Snapshot, n),
 		end:       make(map[proc.ID]round.Snapshot, n),
 		delivered: make(map[proc.ID][]round.Message, n),
+		cells:     make([]any, n),
 	}
 	// The live cluster is completely connected and gossips continuously;
 	// between marks every process causally reaches every other within a
@@ -105,11 +112,11 @@ func (r *Recorder) Observe(up proc.Set, cells map[proc.ID]DecisionCell) {
 	r.polls++
 	clear(r.start)
 	clear(r.end)
-	for _, p := range up.Sorted() {
-		snap := round.Snapshot{Clock: r.polls, Decided: cells[p]}
+	up.ForEach(func(p proc.ID) {
+		snap := round.Snapshot{Clock: r.polls, Decided: r.box(p, cells[p])}
 		r.start[p] = snap
 		r.end[p] = snap
-	}
+	})
 	// The history copies what it keeps (the round.Observation ownership
 	// contract), so the buffers — including the constant full-mesh
 	// delivery map — are safely reused across polls.
@@ -130,6 +137,18 @@ func (r *Recorder) Observe(up proc.Set, cells map[proc.ID]DecisionCell) {
 			})
 		}
 	}
+}
+
+// box returns c boxed, reusing p's last box when it holds an equal cell.
+// A process outside [0, n) gets a fresh box.
+func (r *Recorder) box(p proc.ID, c DecisionCell) any {
+	if p < 0 || int(p) >= len(r.cells) {
+		return c
+	}
+	if old, ok := r.cells[p].(DecisionCell); !ok || old != c {
+		r.cells[p] = c
+	}
+	return r.cells[p]
 }
 
 // Mark records a de-stabilizing systemic event (a chaos episode starting,

@@ -21,7 +21,7 @@ import (
 // checker attached. The ceilings are history's: the streaming verdict
 // adds no allocation per round.
 func TestIncrementalCoterieMaintenanceAllocationCeilings(t *testing.T) {
-	for _, c := range []struct{ n, ceiling int }{{64, 6}, {256, 8}} {
+	for _, c := range []struct{ n, ceiling int }{{64, 4}, {256, 6}} {
 		faulty := proc.NewSet()
 		for i := 0; i < c.n/6; i++ {
 			faulty.Add(proc.ID(i))
@@ -104,7 +104,7 @@ func TestIncrementalAppendAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const ceiling = 7
+	const ceiling = 5
 	if avg > ceiling {
 		t.Errorf("IncrementalChecker round append: %.1f allocs, ceiling %d", avg, ceiling)
 	}

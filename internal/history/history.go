@@ -15,10 +15,10 @@
 //
 // Storage is compact: each observed round is reduced to dense
 // per-process snapshot rows plus cloned alive/deviated sets at append
-// time, and the influence/faulty/coterie caches share their backing
-// arrays between rounds in which nothing changed. In a saturated steady
-// state (influence full, faulty stable) appending a round performs no
-// causal recomputation at all.
+// time, and the alive set and the influence/faulty/coterie caches share
+// their backing arrays between rounds in which nothing changed. In a
+// saturated steady state (influence full, faulty stable) appending a
+// round performs no causal recomputation at all.
 //
 //ftss:det causal analyses feed golden experiment output
 package history
@@ -105,9 +105,13 @@ func (h *History) ObserveRound(o round.Observation) {
 		panic(fmt.Sprintf("history: observed round %d, expected %d", o.Round, t+1))
 	}
 	rec := roundRec{
-		alive: o.Alive.Clone(),
 		start: make([]round.Snapshot, h.n),
 		end:   make([]round.Snapshot, h.n),
+	}
+	if t > 0 && o.Alive.Equal(h.recs[t-1].alive) {
+		rec.alive = h.recs[t-1].alive // unchanged: share it, as the coterie is shared
+	} else {
+		rec.alive = o.Alive.Clone()
 	}
 	if o.Deviated.Len() > 0 {
 		rec.deviated = o.Deviated.Clone()

@@ -336,6 +336,26 @@ func TestRoundAccessors(t *testing.T) {
 	}
 }
 
+// TestAliveSetsSharedNotAliased: rounds with an unchanged alive set share
+// one copy, and no round's set aliases the caller's, which the caller
+// may rewrite for the next observation.
+func TestAliveSetsSharedNotAliased(t *testing.T) {
+	h := New(3, proc.Set{})
+	up := proc.Universe(3)
+	want := []proc.Set{proc.NewSet(0, 1, 2), proc.NewSet(0, 1, 2), proc.NewSet(0, 1), proc.NewSet(0, 1), proc.NewSet(0, 1, 2)}
+	for i, w := range want {
+		up.Clear()
+		up.UnionWith(w)
+		h.ObserveRound(round.Observation{Round: uint64(i + 1), Alive: up})
+	}
+	up.Clear()
+	for i, w := range want {
+		if got := h.AliveAt(i + 1); !got.Equal(w) {
+			t.Errorf("AliveAt(%d) = %v, want %v", i+1, got, w)
+		}
+	}
+}
+
 func TestObserveOutOfOrderPanics(t *testing.T) {
 	h := New(1, proc.Set{})
 	defer func() {
