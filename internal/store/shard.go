@@ -45,6 +45,51 @@ type kvEntry struct {
 	val int64
 }
 
+// opRec is one submitted op's retained state. It holds no pointer (the
+// key is an index into the shard's register table), so the collector
+// never scans the per-op record however many ops a shard has served.
+type opRec struct {
+	key      uint32 // index into Shard.regs
+	done, ok bool   // applied; and if so, whether the swap took
+	old      uint64
+	val      int64
+	firstAt  async.Time // first submission, for latency
+	version  uint64     // the register after the op, once done
+	rval     int64
+}
+
+// opPage is how many records one page of an opLog holds.
+const opPage = 1024
+
+// opLog is the per-op record, dense by shard-local sequence number, in
+// pages of opPage. The first page grows by append like any slice; each
+// later one is allocated whole, so a long-lived shard never copies the
+// records it already holds to make room for more.
+type opLog struct {
+	pages [][]opRec
+	n     int64
+}
+
+func (l *opLog) len() int64 { return l.n }
+
+// add appends r and returns its sequence number.
+func (l *opLog) add(r opRec) int64 {
+	if l.n%opPage == 0 {
+		var p []opRec
+		if l.n > 0 {
+			p = make([]opRec, 0, opPage)
+		}
+		l.pages = append(l.pages, p)
+	}
+	p := &l.pages[len(l.pages)-1]
+	*p = append(*p, r)
+	l.n++
+	return l.n - 1
+}
+
+// at returns record seq, which must be below len.
+func (l *opLog) at(seq int64) *opRec { return &l.pages[seq/opPage][seq%opPage] }
+
 // Shard is one Π⁺ consensus group serving one slice of the key space:
 // cfg.Replicas batching replicas on a private seeded discrete-event
 // engine, a CAS state machine folded from the committed command stream,
@@ -76,13 +121,7 @@ type Shard struct {
 	// Submitted ops, dense by shard-local sequence number (the value the
 	// replicated log carries).
 	//ftss:guardedby mu
-	ops []Op
-	//ftss:guardedby mu
-	firstAt []async.Time // first submission, for latency
-	//ftss:guardedby mu
-	done []bool
-	//ftss:guardedby mu
-	results []Result
+	ops opLog
 	//ftss:guardedby mu
 	pending int
 	//ftss:guardedby mu
@@ -92,8 +131,11 @@ type Shard struct {
 	//ftss:guardedby mu
 	nextRep int // round-robin submission target
 
+	// The registers: keys names each one's index in regs.
 	//ftss:guardedby mu
-	kv map[string]kvEntry
+	keys map[string]uint32
+	//ftss:guardedby mu
+	regs []kvEntry
 	//ftss:guardedby mu
 	applyIdx int // fold cursor into reps[0].Decided()
 
@@ -173,7 +215,7 @@ func newShard(idx int, cfg Config, col *obs.Collector) *Shard {
 		reps: reps, eng: eng, rec: rec, reg: reg,
 		ic:   core.NewIncrementalChecker(rec.History(), WindowAgreement, stabPolls),
 		crng: rand.New(rand.NewSource(base + 3)),
-		kv:   make(map[string]kvEntry),
+		keys: make(map[string]uint32),
 
 		nextPoll: pollEvery,
 
@@ -244,12 +286,13 @@ func (s *Shard) noteCommittedLocked(cmd smr.Value, _ uint64, at async.Time) {
 func (s *Shard) Submit(op Op) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seq := int64(len(s.ops))
-	now := s.eng.Now()
-	s.ops = append(s.ops, op)
-	s.firstAt = append(s.firstAt, now)
-	s.done = append(s.done, false)
-	s.results = append(s.results, Result{})
+	key, ok := s.keys[op.Key]
+	if !ok {
+		key = uint32(len(s.regs))
+		s.keys[op.Key] = key
+		s.regs = append(s.regs, kvEntry{})
+	}
+	seq := s.ops.add(opRec{key: key, old: op.Old, val: op.Val, firstAt: s.eng.Now()})
 	if s.col != nil {
 		s.col.Claim(obs.DeriveSpanID(s.cfg.Seed, uint64(s.idx)<<1, uint64(seq)),
 			fmt.Sprintf("shard%03d/%d", s.idx, seq))
@@ -326,34 +369,30 @@ func (s *Shard) applyLocked(now async.Time) {
 	dec := s.reps[0].Decided()
 	for ; s.applyIdx < len(dec); s.applyIdx++ {
 		seq := int64(dec[s.applyIdx])
-		if seq < 0 || seq >= int64(len(s.ops)) {
+		if seq < 0 || seq >= s.ops.len() {
 			// A corruption-minted command value. The frontends only ever
 			// expand real batch contents, so this counts wire-level
 			// garbage that survived as a decided batch ID collision.
 			s.invalidC.Inc()
 			continue
 		}
-		if s.done[seq] {
+		op := s.ops.at(seq)
+		if op.done {
 			s.dupC.Inc() // a retry's second copy, applied after the first
 			continue
 		}
-		op := s.ops[seq]
-		e := s.kv[op.Key]
-		var res Result
-		if op.Old == e.ver {
-			e = kvEntry{ver: e.ver + 1, val: op.Val}
-			s.kv[op.Key] = e
-			res = Result{OK: true, Version: e.ver, Val: e.val}
+		e := &s.regs[op.key]
+		op.ok = op.old == e.ver
+		if op.ok {
+			*e = kvEntry{ver: e.ver + 1, val: op.val}
 			s.okC.Inc()
 		} else {
-			res = Result{OK: false, Version: e.ver, Val: e.val}
 			s.missC.Inc()
 		}
-		s.done[seq] = true
-		s.results[seq] = res
+		op.done, op.version, op.rval = true, e.ver, e.val
 		s.pending--
 		s.appliedC.Inc()
-		s.latH.Observe(uint64(now - s.firstAt[seq]))
+		s.latH.Observe(uint64(now - op.firstAt))
 		s.lastProgress = now
 		if s.col != nil {
 			s.spanOpLocked(seq, now)
@@ -368,7 +407,7 @@ func (s *Shard) applyLocked(now async.Time) {
 func (s *Shard) spanOpLocked(seq int64, now async.Time) {
 	id := obs.DeriveSpanID(s.cfg.Seed, uint64(s.idx)<<1, uint64(seq))
 	parent := s.parents[seq]
-	submit := s.firstAt[seq]
+	submit := s.ops.at(seq).firstAt
 	sealed := s.sealedAt[seq]
 	if sealed < submit {
 		sealed = submit
@@ -501,14 +540,14 @@ func (s *Shard) reconvergeLocked() {
 // Re-deciding an already-applied op is harmless — applyLocked dedupes
 // by sequence number.
 func (s *Shard) retryLocked(now async.Time) {
-	for s.scanFrom < int64(len(s.ops)) && s.done[s.scanFrom] {
+	for s.scanFrom < s.ops.len() && s.ops.at(s.scanFrom).done {
 		s.scanFrom++
 	}
 	if s.pending == 0 || now-s.lastProgress < retryAfter {
 		return
 	}
-	for seq := s.scanFrom; seq < int64(len(s.ops)); seq++ {
-		if s.done[seq] {
+	for seq := s.scanFrom; seq < s.ops.len(); seq++ {
+		if s.ops.at(seq).done {
 			continue
 		}
 		s.reps[s.nextRep].Submit(smr.Value(seq))
@@ -522,17 +561,25 @@ func (s *Shard) retryLocked(now async.Time) {
 func (s *Shard) Result(id int64) (Result, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id < 0 || id >= int64(len(s.done)) || !s.done[id] {
+	if id < 0 || id >= s.ops.len() {
 		return Result{}, false
 	}
-	return s.results[id], true
+	op := s.ops.at(id)
+	if !op.done {
+		return Result{}, false
+	}
+	return Result{OK: op.ok, Version: op.version, Val: op.rval}, true
 }
 
 // Get reads a key's current version and value (0, 0 when absent).
 func (s *Shard) Get(key string) (version uint64, val int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.kv[key]
+	k, ok := s.keys[key]
+	if !ok {
+		return 0, 0
+	}
+	e := s.regs[k]
 	return e.ver, e.val
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,6 +56,58 @@ func TestStoreCASSemantics(t *testing.T) {
 	if err := st.Drive(1); err != nil {
 		t.Fatal(err)
 	}
+	checkFold(t, sh, ops)
+	if err := st.Report(&bytes.Buffer{}); err != nil {
+		t.Fatalf("clean run verdicts: %v", err)
+	}
+}
+
+// TestResultsAcrossOpPages: a shard holding more than two pages of
+// per-op records returns every result, and every register, as the
+// fold of its committed stream does, the ops submitted across several
+// drives so that pages fill between them.
+func TestResultsAcrossOpPages(t *testing.T) {
+	st := New(Config{Shards: 1, Seed: 5})
+	sh := st.Shard(0)
+	ops := seededOps(5, 2*opPage+300, 48)
+	for i, op := range ops {
+		if id := sh.Submit(op); id != int64(i) {
+			t.Fatalf("op %d got id %d", i, id)
+		}
+		if i%700 == 699 {
+			if err := st.Drive(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Drive(1); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sh.ops.pages); n != 3 {
+		t.Fatalf("%d ops in %d pages, want 3", len(ops), n)
+	}
+	checkFold(t, sh, ops)
+}
+
+// TestOpRecHoldsNoPointer: the per-op record is scalar fields only, so
+// the collector never scans the pages that hold one per op served.
+func TestOpRecHoldsNoPointer(t *testing.T) {
+	typ := reflect.TypeOf(opRec{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int64, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("opRec.%s is a %s, which may hold a pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// checkFold holds every result of sh, and every register, to what a
+// single register per key yields when it folds the committed stream
+// (reps[0]'s, the one applyLocked folds) in order. ops are the shard's
+// submissions, by ID.
+func checkFold(t *testing.T, sh *Shard, ops []Op) {
+	t.Helper()
 	model := map[string]kvEntry{}
 	want := map[int64]Result{}
 	for _, c := range sh.reps[0].Decided() {
@@ -88,8 +141,8 @@ func TestStoreCASSemantics(t *testing.T) {
 			t.Fatalf("%s = v%d %d, want v%d %d", key, ver, val, e.ver, e.val)
 		}
 	}
-	if err := st.Report(&bytes.Buffer{}); err != nil {
-		t.Fatalf("clean run verdicts: %v", err)
+	if ver, val := sh.Get("absent"); ver != 0 || val != 0 {
+		t.Fatalf("absent key = v%d %d, want v0 0", ver, val)
 	}
 }
 
