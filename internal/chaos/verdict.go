@@ -50,7 +50,6 @@ type Recorder struct {
 	// one poll's Observation can be rebuilt in place for the next. The
 	// full-mesh delivery map never changes and is built once.
 	start     map[proc.ID]round.Snapshot
-	end       map[proc.ID]round.Snapshot
 	delivered map[proc.ID][]round.Message
 
 	// cells[p] is the DecisionCell last boxed for p. The history keeps
@@ -86,7 +85,6 @@ func NewRecorder(n int) *Recorder {
 		n:         n,
 		h:         history.New(n, proc.NewSet()),
 		start:     make(map[proc.ID]round.Snapshot, n),
-		end:       make(map[proc.ID]round.Snapshot, n),
 		delivered: make(map[proc.ID][]round.Message, n),
 		cells:     make([]any, n),
 	}
@@ -107,15 +105,13 @@ func NewRecorder(n int) *Recorder {
 
 // Observe appends one poll: up holds the processes currently running,
 // cells their decision registers. Down processes are recorded as absent
-// (they must not be required to agree while down).
+// (they must not be required to agree while down). A poll is an instant,
+// so it is recorded without an End: the history keeps one snapshot row.
 func (r *Recorder) Observe(up proc.Set, cells map[proc.ID]DecisionCell) {
 	r.polls++
 	clear(r.start)
-	clear(r.end)
 	up.ForEach(func(p proc.ID) {
-		snap := round.Snapshot{Clock: r.polls, Decided: r.box(p, cells[p])}
-		r.start[p] = snap
-		r.end[p] = snap
+		r.start[p] = round.Snapshot{Clock: r.polls, Decided: r.box(p, cells[p])}
 	})
 	// The history copies what it keeps (the round.Observation ownership
 	// contract), so the buffers — including the constant full-mesh
@@ -124,7 +120,6 @@ func (r *Recorder) Observe(up proc.Set, cells map[proc.ID]DecisionCell) {
 		Round:     r.polls,
 		Alive:     up,
 		Start:     r.start,
-		End:       r.end,
 		Delivered: r.delivered,
 		Deviated:  proc.Set{},
 	})
@@ -183,61 +178,80 @@ func (r *Recorder) Polls() uint64 { return r.polls }
 // the common register never changes between polls — the asynchronous
 // eventual-stable-agreement notion projected onto poll windows. Feed it
 // to core.CheckFTSS with a stabilization budget in polls.
-var StableAgreement core.Problem = stableAgreement{}
+var StableAgreement = Agreement("eventual-stable-agreement (soak)",
+	func(prev, cur DecisionCell) string {
+		if cur != prev {
+			return fmt.Sprintf("common register changed %v → %v", prev, cur)
+		}
+		return ""
+	})
 
-type stableAgreement struct{}
-
-// Name implements core.Problem.
-func (stableAgreement) Name() string { return "eventual-stable-agreement (soak)" }
-
-// NewWindow implements core.Problem.
-func (stableAgreement) NewWindow(h *history.History, lo int, faulty proc.Set) core.WindowChecker {
-	return &stableAgreementWindow{h: h, faulty: faulty}
+// Agreement returns the Σ of a poll history that is named name: in every
+// poll of the window, every up process outside F holds a decision and all
+// of them hold the same cell. between judges each poll's common cell
+// against the previous poll's, both inside the window, and returns the
+// violation's detail, or "" if the pair is admissible.
+func Agreement(name string, between func(prev, cur DecisionCell) string) core.Problem {
+	return &agreement{name: name, between: between}
 }
 
-// stableAgreementWindow carries the only cross-poll state, the previous
-// poll's common register, across extensions.
-type stableAgreementWindow struct {
+type agreement struct {
+	name    string
+	between func(prev, cur DecisionCell) string
+}
+
+// Name implements core.Problem.
+func (a *agreement) Name() string { return a.name }
+
+// NewWindow implements core.Problem.
+func (a *agreement) NewWindow(h *history.History, lo int, faulty proc.Set) core.WindowChecker {
+	return &agreementWindow{agreement: a, h: h, faulty: faulty}
+}
+
+// agreementWindow carries the only cross-poll state, the previous poll's
+// common cell, across extensions.
+type agreementWindow struct {
+	*agreement
 	h        *history.History
 	faulty   proc.Set
 	prev     DecisionCell
 	havePrev bool
 }
 
-// Extend implements core.WindowChecker.
-func (w *stableAgreementWindow) Extend(r int) error {
-	h, faulty := w.h, w.faulty
+// Extend implements core.WindowChecker. It walks the IDs 0..n−1, which
+// visits the up processes in the order Sorted would, without allocating.
+func (w *agreementWindow) Extend(r int) error {
+	h, up := w.h, w.h.AliveAt(r)
 	var common DecisionCell
-	haveCommon := false
-	for _, p := range h.AliveAt(r).Sorted() {
-		if faulty.Has(p) {
+	have := false
+	for i := 0; i < h.N(); i++ {
+		p := proc.ID(i)
+		if !up.Has(p) || w.faulty.Has(p) {
 			continue
 		}
 		snap, _ := h.SnapshotAt(r, p)
 		cell, _ := snap.Decided.(DecisionCell)
-		if !cell.OK {
-			return &core.Violation{
-				Problem: "eventual-stable-agreement (soak)", Round: r,
-				Detail: fmt.Sprintf("%v holds no decision", p),
-			}
-		}
-		if !haveCommon {
-			common, haveCommon = cell, true
-		} else if cell != common {
-			return &core.Violation{
-				Problem: "eventual-stable-agreement (soak)", Round: r,
-				Detail: fmt.Sprintf("%v holds %v, others hold %v", p, cell, common),
-			}
+		switch {
+		case !cell.OK:
+			return w.violation(r, fmt.Sprintf("%v holds no decision", p))
+		case !have:
+			common, have = cell, true
+		case cell != common:
+			return w.violation(r, fmt.Sprintf("%v holds %v, others hold %v", p, cell, common))
 		}
 	}
-	if haveCommon && w.havePrev && common != w.prev {
-		return &core.Violation{
-			Problem: "eventual-stable-agreement (soak)", Round: r,
-			Detail: fmt.Sprintf("common register changed %v → %v", w.prev, common),
+	if !have {
+		return nil
+	}
+	if w.havePrev {
+		if d := w.between(w.prev, common); d != "" {
+			return w.violation(r, d)
 		}
 	}
-	if haveCommon {
-		w.prev, w.havePrev = common, true
-	}
+	w.prev, w.havePrev = common, true
 	return nil
+}
+
+func (w *agreementWindow) violation(r int, detail string) error {
+	return &core.Violation{Problem: w.name, Round: r, Detail: detail}
 }

@@ -120,6 +120,27 @@ func TestRecorderObserveShrinkRecover(t *testing.T) {
 	}
 }
 
+// TestRecorderRecordsOneRow: a poll is recorded without an end row, so
+// each poll's end state is its start state, down processes have neither,
+// and the window reads only the start row.
+func TestRecorderRecordsOneRow(t *testing.T) {
+	const n = 3
+	r := NewRecorder(n)
+	r.Observe(fullUp(n), agreeCells(n, 4, 1))
+	r.Observe(proc.NewSet(0, 2), agreeCells(n, 4, 1))
+	r.Observe(fullUp(n), agreeCells(n, 5, 2))
+	h := r.History()
+	for t0 := 1; t0 <= h.Len(); t0++ {
+		for p := proc.ID(0); p < n; p++ {
+			start, ok1 := h.SnapshotAt(t0, p)
+			end, ok2 := h.SnapshotAtEnd(t0, p)
+			if start != end || ok1 != ok2 || ok1 != h.AliveAt(t0).Has(p) {
+				t.Errorf("poll %d %v: start %+v,%v end %+v,%v", t0, p, start, ok1, end, ok2)
+			}
+		}
+	}
+}
+
 // TestRecorderInstruments: counters track polls/marks and the event
 // stream carries poll-stamped records.
 func TestRecorderInstruments(t *testing.T) {

@@ -21,7 +21,7 @@ import (
 // checker attached. The ceilings are history's: the streaming verdict
 // adds no allocation per round.
 func TestIncrementalCoterieMaintenanceAllocationCeilings(t *testing.T) {
-	for _, c := range []struct{ n, ceiling int }{{64, 4}, {256, 6}} {
+	for _, c := range []struct{ n, ceiling int }{{64, 3}, {256, 5}} {
 		faulty := proc.NewSet()
 		for i := 0; i < c.n/6; i++ {
 			faulty.Add(proc.ID(i))
@@ -104,7 +104,7 @@ func TestIncrementalAppendAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const ceiling = 5
+	const ceiling = 4
 	if avg > ceiling {
 		t.Errorf("IncrementalChecker round append: %.1f allocs, ceiling %d", avg, ceiling)
 	}

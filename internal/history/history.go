@@ -4,10 +4,10 @@
 // set F(H,Π) of each prefix, and the maximal coterie-stable segments whose
 // boundaries are the paper's "de-stabilizing events".
 //
-// Influence sets are maintained incrementally: after t rounds,
-// Influence(t, q) is the set of processes p whose round-1 event
+// Influence sets are maintained incrementally: after t rounds, the
+// influence set of q is the set of processes p whose round-1 event
 // happened-before some event of q in the first t rounds (p →_H q). The
-// coterie of the t-prefix is the intersection of Influence(t, q) over all
+// coterie of the t-prefix is the intersection of those sets over all
 // processes q that are correct in that prefix. Because influence sets only
 // grow and the faulty set only grows, the coterie is monotone
 // non-decreasing in t; a de-stabilizing event is precisely a round in
@@ -15,8 +15,9 @@
 //
 // Storage is compact: each observed round is reduced to dense
 // per-process snapshot rows plus cloned alive/deviated sets at append
-// time, and the alive set and the influence/faulty/coterie caches share
-// their backing arrays between rounds in which nothing changed. In a
+// time, and the alive set and the faulty/coterie caches share their
+// backing arrays between rounds in which nothing changed. Only the
+// current influence sets are kept: nothing reads a past one. In a
 // saturated steady state (influence full, faulty stable) appending a
 // round performs no causal recomputation at all.
 //
@@ -31,15 +32,16 @@ import (
 	"ftss/internal/sim/round"
 )
 
-// roundRec is the compact record of one observed round. Snapshot rows are
-// dense by process ID and meaningful only where alive has the ID. Neither
-// message payloads nor delivery edges are retained: the incremental
-// caches never read past deliveries.
+// roundRec is the compact record of one observed round. snaps is the
+// start row, then the end row when the observation gave one; each row is
+// dense by process ID and meaningful only where alive has the ID. A round
+// observed without End (a poll) has one row, its start row, which is also
+// its end state. Neither message payloads nor delivery edges are
+// retained: the incremental caches never read past deliveries.
 type roundRec struct {
 	alive    proc.Set
 	deviated proc.Set
-	start    []round.Snapshot
-	end      []round.Snapshot
+	snaps    []round.Snapshot
 }
 
 // History is a recorded synchronous execution plus incrementally maintained
@@ -53,10 +55,10 @@ type History struct {
 	designated proc.Set
 	recs       []roundRec
 
-	// influence[t][q] is Influence(t, q), dense by process ID; index 0 is
-	// the empty prefix. Rounds in which no influence set grew share the
-	// previous round's row.
-	influence [][]proc.Set
+	// influence[q] is q's influence set over the rounds recorded so far,
+	// dense by process ID. A round that grows a set replaces the row with
+	// a copy, so the whole round reads last round's sets.
+	influence []proc.Set
 	// faulty[t] is F of the t-prefix (processes that have deviated by the
 	// end of round t). Rounds without new deviators share the set.
 	faulty []proc.Set
@@ -73,18 +75,18 @@ type History struct {
 // New creates an empty history for a system of n processes with the given
 // designated faulty set (the paper's bound f; may be empty).
 func New(n int, designated proc.Set) *History {
-	inf0 := make([]proc.Set, n)
+	inf := make([]proc.Set, n)
 	for i := 0; i < n; i++ {
-		inf0[i] = proc.NewSetCap(n)
-		inf0[i].Add(proc.ID(i))
+		inf[i] = proc.NewSetCap(n)
+		inf[i].Add(proc.ID(i))
 	}
 	h := &History{
 		n:          n,
 		designated: designated.Clone(),
-		influence:  [][]proc.Set{inf0},
+		influence:  inf,
 		faulty:     []proc.Set{proc.NewSet()},
 	}
-	h.coterie = []proc.Set{h.computeCoterie(0)}
+	h.coterie = []proc.Set{h.computeCoterie()}
 	return h
 }
 
@@ -104,10 +106,11 @@ func (h *History) ObserveRound(o round.Observation) {
 	if o.Round != uint64(t+1) {
 		panic(fmt.Sprintf("history: observed round %d, expected %d", o.Round, t+1))
 	}
-	rec := roundRec{
-		start: make([]round.Snapshot, h.n),
-		end:   make([]round.Snapshot, h.n),
+	rows := 1
+	if o.End != nil {
+		rows = 2
 	}
+	rec := roundRec{snaps: make([]round.Snapshot, rows*h.n)}
 	if t > 0 && o.Alive.Equal(h.recs[t-1].alive) {
 		rec.alive = h.recs[t-1].alive // unchanged: share it, as the coterie is shared
 	} else {
@@ -121,12 +124,14 @@ func (h *History) ObserveRound(o round.Observation) {
 		if !rec.alive.Has(id) {
 			continue
 		}
-		rec.start[i] = o.Start[id]
-		rec.end[i] = o.End[id]
+		rec.snaps[i] = o.Start[id]
+		if o.End != nil {
+			rec.snaps[h.n+i] = o.End[id]
+		}
 	}
 	h.recs = append(h.recs, rec)
 
-	prev := h.influence[t]
+	prev := h.influence
 	next := prev // aliased until some influence set grows
 	for q := 0; q < h.n; q++ {
 		msgs, ok := o.Delivered[proc.ID(q)]
@@ -155,7 +160,7 @@ func (h *History) ObserveRound(o round.Observation) {
 		}
 	}
 	influenceGrew := &next[0] != &prev[0]
-	h.influence = append(h.influence, next)
+	h.influence = next
 
 	f := h.faulty[t]
 	faultyGrew := false
@@ -166,7 +171,7 @@ func (h *History) ObserveRound(o round.Observation) {
 	h.faulty = append(h.faulty, f)
 
 	if influenceGrew || faultyGrew {
-		h.coterie = append(h.coterie, h.computeCoterie(t+1))
+		h.coterie = append(h.coterie, h.computeCoterie())
 	} else {
 		// Both inputs of Definition 2.3 are unchanged, so the coterie is
 		// unchanged; share the set rather than recomputing it.
@@ -178,17 +183,18 @@ func (h *History) ObserveRound(o round.Observation) {
 	}
 }
 
-func (h *History) computeCoterie(t int) proc.Set {
+// computeCoterie returns the coterie of the prefix recorded so far.
+func (h *History) computeCoterie() proc.Set {
 	// One Universe allocation is inherent (the result is retained in
 	// h.coterie); the intersection itself is in place, with no per-process
 	// clones.
 	cot := proc.Universe(h.n)
-	f := h.faulty[t]
+	f := h.faulty[len(h.faulty)-1]
 	for i := 0; i < h.n; i++ {
 		if f.Has(proc.ID(i)) {
 			continue
 		}
-		cot.IntersectWith(h.influence[t][i])
+		cot.IntersectWith(h.influence[i])
 	}
 	return cot
 }
@@ -222,14 +228,10 @@ func (h *History) FaultyUpToView(t int) proc.Set { return h.faulty[t] }
 // Faulty returns F(H,Π) of the whole recorded history.
 func (h *History) Faulty() proc.Set { return h.FaultyUpTo(h.Len()) }
 
-// CorrectUpTo returns C of the t-prefix (all processes minus FaultyUpTo).
-func (h *History) CorrectUpTo(t int) proc.Set {
-	return proc.Universe(h.n).Minus(h.faulty[t])
-}
-
-// Influence returns the set of processes p with p →_H q in the t-prefix.
-func (h *History) Influence(t int, q proc.ID) proc.Set {
-	return h.influence[t][int(q)].Clone()
+// Influence returns the set of processes p with p →_H q in the whole
+// recorded history.
+func (h *History) Influence(q proc.ID) proc.Set {
+	return h.influence[int(q)].Clone()
 }
 
 // CoterieAt returns the coterie of the t-prefix (Definition 2.3). t may be
@@ -251,7 +253,7 @@ func (h *History) ClockAt(r int, p proc.ID) (uint64, bool) {
 	if !rec.alive.Has(p) {
 		return 0, false
 	}
-	return rec.start[int(p)].Clock, true
+	return rec.snaps[int(p)].Clock, true
 }
 
 // SnapshotAt returns p's full snapshot at the start of actual round r.
@@ -260,19 +262,24 @@ func (h *History) SnapshotAt(r int, p proc.ID) (round.Snapshot, bool) {
 	if !rec.alive.Has(p) {
 		return round.Snapshot{}, false
 	}
-	return rec.start[int(p)], true
+	return rec.snaps[int(p)], true
 }
 
-// SnapshotAtEnd returns p's snapshot at the end of actual round r. For a
-// process alive in round r+1 this equals SnapshotAt(r+1, p); it remains
-// available for the final recorded round, which the Rate condition of
-// Assumption 1 needs.
+// SnapshotAtEnd returns p's snapshot at the end of actual round r, before
+// any systemic failure struck between rounds r and r+1: it need not equal
+// SnapshotAt(r+1, p). It is available for the final recorded round too.
+// A round observed without End (a poll) ended in the state it started,
+// so there it is SnapshotAt(r, p).
 func (h *History) SnapshotAtEnd(r int, p proc.ID) (round.Snapshot, bool) {
 	rec := &h.recs[r-1]
 	if !rec.alive.Has(p) {
 		return round.Snapshot{}, false
 	}
-	return rec.end[int(p)], true
+	i := int(p)
+	if len(rec.snaps) > h.n {
+		i += h.n
+	}
+	return rec.snaps[i], true
 }
 
 // Segment is a maximal run of prefix lengths with a constant coterie.

@@ -31,25 +31,22 @@ func chatters(n int) []round.Process {
 
 func runRecorded(t *testing.T, n int, adv failure.Adversary, rounds int) *History {
 	t.Helper()
-	h, _ := runRecordedEdges(t, n, adv, rounds)
+	h, e := recorded(n, adv)
+	e.Run(rounds)
 	return h
 }
 
-// runRecordedEdges also attaches the delivery-edge recorder the
-// naiveInfluence oracle walks.
-func runRecordedEdges(t *testing.T, n int, adv failure.Adversary, rounds int) (*History, *edgeRecorder) {
-	t.Helper()
+// recorded builds an engine of n chatters with a history attached, for
+// tests that step it themselves.
+func recorded(n int, adv failure.Adversary) (*History, *round.Engine) {
 	var faulty proc.Set
 	if adv != nil {
 		faulty = adv.Faulty()
 	}
 	h := New(n, faulty)
-	edges := &edgeRecorder{}
 	e := round.MustNewEngine(chatters(n), adv)
 	e.Observe(h)
-	e.Observe(edges)
-	e.Run(rounds)
-	return h, edges
+	return h, e
 }
 
 // edgeRecorder is a round.Observer keeping who heard whom: from[k-1][q] is
@@ -70,8 +67,9 @@ func (er *edgeRecorder) ObserveRound(o round.Observation) {
 	er.from = append(er.from, row)
 }
 
-// naiveInfluence recomputes Influence(t, q) by search over the event
-// grid, without the incremental caches: the oracle for them.
+// naiveInfluence recomputes q's influence set over the t-prefix by search
+// over the event grid, without the incremental caches: the oracle for
+// them.
 //
 // Nodes are (process, prefix length); edges are program order
 // (p,k)→(p,k+1), and message delivery (s,k-1)→(q,k) for every message
@@ -136,14 +134,17 @@ func TestCoterieFullAfterOneCleanRound(t *testing.T) {
 }
 
 func TestInfluenceBasic(t *testing.T) {
-	h := runRecorded(t, 3, nil, 2)
+	h, e := recorded(3, nil)
 	// Before any round, influence is just self.
-	if !h.Influence(0, 1).Equal(proc.NewSet(1)) {
-		t.Errorf("Influence(0,1) = %v", h.Influence(0, 1))
+	if !h.Influence(1).Equal(proc.NewSet(1)) {
+		t.Errorf("Influence(1) before round 1 = %v", h.Influence(1))
 	}
 	// After one full-delivery round, everyone influences everyone.
-	if !h.Influence(1, 1).Equal(proc.Universe(3)) {
-		t.Errorf("Influence(1,1) = %v", h.Influence(1, 1))
+	for r := 1; r <= 2; r++ {
+		e.Step()
+		if !h.Influence(1).Equal(proc.Universe(3)) {
+			t.Errorf("Influence(1) after round %d = %v", r, h.Influence(1))
+		}
 	}
 }
 
@@ -151,7 +152,12 @@ func TestSilencedProcessOutsideCoterie(t *testing.T) {
 	// p0 (faulty) is silent toward p1 and deaf to p1 for rounds 1..3 but
 	// talks to p2. p0 still reaches p1 transitively through p2 in round 2.
 	adv := failure.NewScripted(0).SilenceBetween(0, 1, 1, 3)
-	h := runRecorded(t, 3, adv, 4)
+	h, e := recorded(3, adv)
+	e.Run(2)
+	if !h.Influence(1).Has(0) {
+		t.Error("p0 should influence p1 transitively by round 2")
+	}
+	e.Run(2)
 
 	// Round 1: p0 reaches p2 and itself but not p1 → p0 not in coterie.
 	if h.CoterieAt(1).Has(0) {
@@ -163,9 +169,6 @@ func TestSilencedProcessOutsideCoterie(t *testing.T) {
 	// Round 2: p2 relays, so p0 →_H p1 via p2; p0 enters the coterie.
 	if !h.CoterieAt(2).Has(0) {
 		t.Error("p0 should enter the coterie in round 2 (transitive influence)")
-	}
-	if !h.Influence(2, 1).Has(0) {
-		t.Error("p0 should influence p1 transitively by round 2")
 	}
 }
 
@@ -202,9 +205,6 @@ func TestFaultyUpToGrowth(t *testing.T) {
 			t.Errorf("F_%d = %v, want {p1}", tt, h.FaultyUpTo(tt))
 		}
 	}
-	if !h.CorrectUpTo(5).Equal(proc.NewSet(0)) {
-		t.Errorf("C_5 = %v", h.CorrectUpTo(5))
-	}
 	if !h.Faulty().Equal(proc.NewSet(1)) {
 		t.Errorf("Faulty() = %v", h.Faulty())
 	}
@@ -234,13 +234,17 @@ func TestCoterieMonotone(t *testing.T) {
 	}
 }
 
+// TestIncrementalMatchesNaiveOracle holds the incremental influence sets
+// to the oracle at every prefix, read from the append hook while that
+// prefix is the whole history.
 func TestIncrementalMatchesNaiveOracle(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		adv := failure.NewRandom(failure.GeneralOmission, proc.NewSet(0, 2), 0.5, seed, 10)
-		h, edges := runRecordedEdges(t, 4, adv, 12)
-		for tt := 0; tt <= h.Len(); tt += 3 {
+		h := New(4, adv.Faulty())
+		edges := &edgeRecorder{}
+		check := func(tt int) {
 			for q := proc.ID(0); q < 4; q++ {
-				inc := h.Influence(tt, q)
+				inc := h.Influence(q)
 				naive := edges.naiveInfluence(tt, q)
 				if !inc.Equal(naive) {
 					t.Fatalf("seed %d t=%d q=%v: incremental %v != naive %v",
@@ -248,6 +252,12 @@ func TestIncrementalMatchesNaiveOracle(t *testing.T) {
 				}
 			}
 		}
+		check(0)
+		h.OnAppend(check)
+		e := round.MustNewEngine(chatters(4), adv)
+		e.Observe(edges) // first: the hook walks this round's edges
+		e.Observe(h)
+		e.Run(12)
 	}
 }
 
@@ -293,6 +303,34 @@ func TestClockAndSnapshotAccessors(t *testing.T) {
 	}
 }
 
+// TestSnapshotAtEndKeepsPreCorruptionState: an engine round records its
+// own end row, so a systemic failure striking between two rounds shows
+// as SnapshotAtEnd(r) differing from SnapshotAt(r+1), and round r's end
+// state stays what the protocol left.
+func TestSnapshotAtEndKeepsPreCorruptionState(t *testing.T) {
+	ps := chatters(2)
+	h := New(2, proc.Set{})
+	e := round.MustNewEngine(ps, nil)
+	e.Observe(h)
+	e.Step()
+	ps[0].(*chatter).rounds = 40 // corrupt p0's clock between rounds 1 and 2
+	h.MarkSystemicFailure()
+	e.Step()
+	for _, c := range []struct {
+		r    int
+		end  bool
+		want uint64
+	}{{1, false, 0}, {1, true, 1}, {2, false, 40}, {2, true, 41}} {
+		get := h.SnapshotAt
+		if c.end {
+			get = h.SnapshotAtEnd
+		}
+		if snap, ok := get(c.r, 0); !ok || snap.Clock != c.want {
+			t.Errorf("round %d (end %v): p0 clock %d,%v; want %d", c.r, c.end, snap.Clock, ok, c.want)
+		}
+	}
+}
+
 func TestClockAtCrashedProcess(t *testing.T) {
 	adv := failure.NewScripted(1).CrashAt(1, 2)
 	h := runRecorded(t, 2, adv, 3)
@@ -306,16 +344,15 @@ func TestClockAtCrashedProcess(t *testing.T) {
 
 func TestCrashedInfluenceFrozen(t *testing.T) {
 	adv := failure.NewScripted(0).CrashAt(0, 2)
-	h := runRecorded(t, 3, adv, 5)
+	h, e := recorded(3, adv)
 	// p0 spoke in round 1, so it influences everyone; after its crash its
 	// influence set stops growing but others keep growing (trivially full
 	// here).
-	if !h.Influence(1, 0).Equal(proc.Universe(3)) {
-		t.Errorf("Influence(1,0) = %v", h.Influence(1, 0))
-	}
-	after := h.Influence(5, 0)
-	if !after.Equal(proc.Universe(3)) {
-		t.Errorf("Influence(5,0) = %v (should be frozen at full)", after)
+	for r := 1; r <= 5; r++ {
+		e.Step()
+		if got := h.Influence(0); !got.Equal(proc.Universe(3)) {
+			t.Errorf("Influence(0) after round %d = %v (should be full, then frozen)", r, got)
+		}
 	}
 	// Crashed p0 is faulty, so the coterie quantifies only over p1,p2.
 	if !h.Coterie().Equal(proc.Universe(3)) {

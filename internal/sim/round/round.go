@@ -97,17 +97,16 @@ type Observation struct {
 	Alive proc.Set
 	// Start maps each alive process to its state at the start of the round.
 	Start map[proc.ID]Snapshot
-	// Sent maps each alive process to the payload it broadcast (absent if
-	// it stayed silent).
-	Sent map[proc.ID]any
 	// Delivered maps each alive process to the messages it received,
 	// including any a Lag held back from the previous round.
 	Delivered map[proc.ID][]Message
 	// End maps each alive process to its state at the end of the round
-	// (after absorbing deliveries). For a process alive in round r+1 this
-	// equals its Start snapshot there; recording it here makes the final
-	// recorded round's end state, which the Rate condition of Assumption 1
-	// references, available to checkers.
+	// (after absorbing deliveries). A systemic failure striking between
+	// rounds r and r+1 makes it differ from the Start snapshot of round
+	// r+1; recording it here also makes the final recorded round's end
+	// state, which the Rate condition of Assumption 1 references,
+	// available to checkers. A nil End means every alive process ended the
+	// round in the state it started.
 	End map[proc.ID]Snapshot
 	// Deviated holds the processes that deviated from their protocol in
 	// this round (an actual message loss, or a crash taking effect).
@@ -148,7 +147,6 @@ type Engine struct {
 	// cleared and refilled each round instead of freshly allocated.
 	obsAlive     proc.Set
 	obsStart     map[proc.ID]Snapshot
-	obsSent      map[proc.ID]any
 	obsDelivered map[proc.ID][]Message
 	obsEnd       map[proc.ID]Snapshot
 
@@ -335,7 +333,6 @@ func (e *Engine) Step() {
 		if e.obsStart == nil {
 			e.obsAlive = proc.NewSetCap(n)
 			e.obsStart = make(map[proc.ID]Snapshot, n)
-			e.obsSent = make(map[proc.ID]any, n)
 			e.obsDelivered = make(map[proc.ID][]Message, n)
 			e.obsEnd = make(map[proc.ID]Snapshot, n)
 		}
@@ -415,22 +412,17 @@ func (e *Engine) Step() {
 	}
 
 	if observed {
-		alive, sent, delivered := e.obsAlive, e.obsSent, e.obsDelivered
+		alive, delivered := e.obsAlive, e.obsDelivered
 		alive.Clear()
-		clear(sent)
 		clear(delivered)
 		for _, id := range aliveIDs {
 			alive.Add(id)
-			if e.sent[id] != nil {
-				sent[id] = e.sent[id]
-			}
 			delivered[id] = e.inbox[id]
 		}
 		o := Observation{
 			Round:     r,
 			Alive:     alive,
 			Start:     start,
-			Sent:      sent,
 			Delivered: delivered,
 			End:       end,
 			Deviated:  deviated,

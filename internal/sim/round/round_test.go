@@ -60,7 +60,6 @@ func (r *recordObserver) ObserveRound(o Observation) {
 		Round:     o.Round,
 		Alive:     o.Alive.Clone(),
 		Start:     make(map[proc.ID]Snapshot, len(o.Start)),
-		Sent:      make(map[proc.ID]any, len(o.Sent)),
 		Delivered: make(map[proc.ID][]Message, len(o.Delivered)),
 		End:       make(map[proc.ID]Snapshot, len(o.End)),
 		Deviated:  o.Deviated.Clone(),
@@ -68,9 +67,6 @@ func (r *recordObserver) ObserveRound(o Observation) {
 	for _, p := range o.Alive.Sorted() {
 		if s, ok := o.Start[p]; ok {
 			c.Start[p] = s
-		}
-		if v, ok := o.Sent[p]; ok {
-			c.Sent[p] = v
 		}
 		if msgs, ok := o.Delivered[p]; ok {
 			c.Delivered[p] = append([]Message(nil), msgs...)
@@ -249,8 +245,16 @@ func TestObservation(t *testing.T) {
 	if o1.Deviated.Len() != 0 {
 		t.Errorf("round 1 deviations = %v, want none", o1.Deviated)
 	}
-	if len(o1.Sent) != 3 {
-		t.Errorf("round 1 sent by %d processes, want 3", len(o1.Sent))
+	// Every alive process broadcast its ID in round 1: each one's own
+	// broadcast is in its inbox (self-delivery), carrying that payload.
+	for _, p := range o1.Alive.Sorted() {
+		got := false
+		for _, m := range o1.Delivered[p] {
+			got = got || m.From == p && m.Payload == int(p)
+		}
+		if !got {
+			t.Errorf("round 1: %v's own broadcast missing from %v", p, o1.Delivered[p])
+		}
 	}
 	if len(o1.Delivered[0]) != 3 {
 		t.Errorf("round 1 p0 got %d messages, want 3", len(o1.Delivered[0]))

@@ -141,6 +141,12 @@ type Shard struct {
 
 	//ftss:guardedby mu
 	nextPoll async.Time
+	// pollUp and pollCells are the poll's buffers, rebuilt in place by
+	// every poll: the recorder copies what it keeps.
+	//ftss:guardedby mu
+	pollUp proc.Set
+	//ftss:guardedby mu
+	pollCells map[proc.ID]chaos.DecisionCell
 	//ftss:guardedby mu
 	nextCorrupt async.Time
 
@@ -217,7 +223,9 @@ func newShard(idx int, cfg Config, col *obs.Collector) *Shard {
 		crng: rand.New(rand.NewSource(base + 3)),
 		keys: make(map[string]uint32),
 
-		nextPoll: pollEvery,
+		nextPoll:  pollEvery,
+		pollUp:    proc.NewSetCap(cfg.Replicas),
+		pollCells: make(map[proc.ID]chaos.DecisionCell, cfg.Replicas),
 
 		opsC: reg.Counter("ops"), appliedC: reg.Counter("applied"),
 		okC: reg.Counter("cas_ok"), missC: reg.Counter("cas_mismatch"),
@@ -438,7 +446,8 @@ func (s *Shard) spanOpLocked(seq int64, now async.Time) {
 func (s *Shard) pollLocked() {
 	// One frontier read per replica: up collects who has a frontier, w the
 	// least frontier among them.
-	up := proc.NewSet()
+	up := s.pollUp
+	up.Clear()
 	w := uint64(0)
 	for i, r := range s.reps {
 		f, ok := r.Frontier()
@@ -457,7 +466,8 @@ func (s *Shard) pollLocked() {
 	if w+1 > hashWindow {
 		lo = w + 1 - hashWindow
 	}
-	cells := make(map[proc.ID]chaos.DecisionCell, len(s.reps))
+	cells := s.pollCells
+	clear(cells)
 	for i, r := range s.reps {
 		if !up.Has(proc.ID(i)) {
 			continue
