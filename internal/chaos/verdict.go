@@ -54,8 +54,9 @@ type Recorder struct {
 
 	// cells[p] is the DecisionCell last boxed for p. The history keeps
 	// every poll's snapshots, so an unchanged register is boxed once and
-	// shared by every poll that records it; the box is reused only after
-	// comparing it with the new cell.
+	// shared by every poll that records it, and processes that agree in a
+	// poll share one box; a box is reused only after comparing it with
+	// the new cell.
 	cells []any
 }
 
@@ -110,8 +111,10 @@ func NewRecorder(n int) *Recorder {
 func (r *Recorder) Observe(up proc.Set, cells map[proc.ID]DecisionCell) {
 	r.polls++
 	clear(r.start)
+	var last any // the box of the process recorded before p in this poll
 	up.ForEach(func(p proc.ID) {
-		r.start[p] = round.Snapshot{Clock: r.polls, Decided: r.box(p, cells[p])}
+		last = r.box(p, cells[p], last)
+		r.start[p] = round.Snapshot{Clock: r.polls, Decided: last}
 	})
 	// The history copies what it keeps (the round.Observation ownership
 	// contract), so the buffers — including the constant full-mesh
@@ -134,14 +137,20 @@ func (r *Recorder) Observe(up proc.Set, cells map[proc.ID]DecisionCell) {
 	}
 }
 
-// box returns c boxed, reusing p's last box when it holds an equal cell.
-// A process outside [0, n) gets a fresh box.
-func (r *Recorder) box(p proc.ID, c DecisionCell) any {
+// box returns c boxed, reusing p's last box when it holds an equal cell,
+// else last, the box of the process recorded before p in this poll, when
+// that holds one: a poll whose processes agree boxes a new cell once. A
+// process outside [0, n) gets a fresh box.
+func (r *Recorder) box(p proc.ID, c DecisionCell, last any) any {
 	if p < 0 || int(p) >= len(r.cells) {
 		return c
 	}
 	if old, ok := r.cells[p].(DecisionCell); !ok || old != c {
-		r.cells[p] = c
+		if prev, ok := last.(DecisionCell); ok && prev == c {
+			r.cells[p] = last
+		} else {
+			r.cells[p] = c
+		}
 	}
 	return r.cells[p]
 }

@@ -30,11 +30,12 @@ import (
 	"ftss/internal/sim/async"
 )
 
-// WeakDetector is the ◊W oracle: Detect returns the set of processes that
+// WeakDetector is the ◊W oracle: Detect adds to into the processes that
 // p's local ◊W module suspects at virtual time now. In the paper this is
-// the repeatedly-set predicate detect(s).
+// the repeatedly-set predicate detect(s). The caller owns into and clears
+// it before the call, so a query allocates nothing.
 type WeakDetector interface {
-	Detect(now async.Time, p proc.ID) proc.Set
+	Detect(now async.Time, p proc.ID, into proc.Set)
 }
 
 // SimulatedWeak is a deterministic oracle satisfying exactly the ◊W axioms
@@ -97,8 +98,7 @@ func (w *SimulatedWeak) coin(now async.Time, p, s proc.ID, salt uint64) float64 
 }
 
 // Detect implements WeakDetector.
-func (w *SimulatedWeak) Detect(now async.Time, p proc.ID) proc.Set {
-	out := proc.NewSet()
+func (w *SimulatedWeak) Detect(now async.Time, p proc.ID, out proc.Set) {
 	anchor := w.Anchor()
 	witness := w.Witness()
 	for i := 0; i < w.N; i++ {
@@ -137,7 +137,6 @@ func (w *SimulatedWeak) Detect(now async.Time, p proc.ID) proc.Set {
 			out.Add(s)
 		}
 	}
-	return out
 }
 
 // Status is a process's opinion of another process in the Figure 4
@@ -173,19 +172,25 @@ type StrongCore struct {
 	n    int
 	weak WeakDetector
 	recs []Status
+
+	// detected is the buffer Detect fills on each tick. It is cleared
+	// before every query, so it is not state and Corrupt leaves it alone.
+	detected proc.Set
 }
 
 // NewStrongCore builds the transform for process self. The initial records
 // are zeroed, but correctness never depends on that (tests corrupt them).
 func NewStrongCore(self proc.ID, n int, weak WeakDetector) *StrongCore {
-	return &StrongCore{self: self, n: n, weak: weak, recs: make([]Status, n)}
+	return &StrongCore{self: self, n: n, weak: weak, recs: make([]Status, n), detected: proc.NewSetCap(n)}
 }
 
 // OnTick executes the "when …" guarded commands of Figure 4 once and
 // broadcasts the current records.
 func (c *StrongCore) OnTick(ctx async.Context) {
 	// when detect(s): num[s]++; state[s] := dead.
-	c.weak.Detect(ctx.Now(), c.self).ForEach(func(s proc.ID) {
+	c.detected.Clear()
+	c.weak.Detect(ctx.Now(), c.self, c.detected)
+	c.detected.ForEach(func(s proc.ID) {
 		if int(s) < 0 || int(s) >= c.n || s == c.self {
 			return
 		}

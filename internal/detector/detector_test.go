@@ -2,6 +2,7 @@ package detector
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ftss/internal/proc"
@@ -20,6 +21,13 @@ func weakFor(n int, crashAt map[proc.ID]async.Time, seed int64) *SimulatedWeak {
 		SlanderP:   0.2,
 		Seed:       seed,
 	}
+}
+
+// detect is one ◊W query into a fresh set.
+func detect(w WeakDetector, now async.Time, p proc.ID) proc.Set {
+	s := proc.NewSet()
+	w.Detect(now, p, s)
+	return s
 }
 
 func buildRun(n int, crashAt map[proc.ID]async.Time, seed int64) (*async.Engine, []*Proc, []SuspectSource, *SimulatedWeak) {
@@ -71,7 +79,7 @@ func TestSimulatedWeakAxioms(t *testing.T) {
 	// Post-accuracy: the anchor p0 is never suspected by correct queriers.
 	for tm := w.AccuracyAt; tm < w.AccuracyAt+50*ms; tm += ms {
 		for _, q := range correct.Sorted() {
-			if w.Detect(tm, q).Has(0) {
+			if detect(w, tm, q).Has(0) {
 				t.Fatalf("anchor suspected by %v at t=%d", q, tm)
 			}
 		}
@@ -79,13 +87,13 @@ func TestSimulatedWeakAxioms(t *testing.T) {
 	// Weak completeness: the witness suspects the crashed p2 forever after
 	// crash+lag.
 	for tm := 13 * ms; tm < 100*ms; tm += ms {
-		if !w.Detect(tm, w.Witness()).Has(2) {
+		if !detect(w, tm, w.Witness()).Has(2) {
 			t.Fatalf("witness did not suspect crashed p2 at t=%d", tm)
 		}
 	}
 	// Never suspects itself.
 	for tm := async.Time(0); tm < 60*ms; tm += 7 * ms {
-		if w.Detect(tm, 1).Has(1) {
+		if detect(w, tm, 1).Has(1) {
 			t.Fatal("self-suspicion")
 		}
 	}
@@ -96,7 +104,7 @@ func TestSimulatedWeakDeterminism(t *testing.T) {
 	w2 := weakFor(5, nil, 9)
 	for tm := async.Time(0); tm < 50*ms; tm += ms {
 		for q := proc.ID(0); q < 5; q++ {
-			if !w1.Detect(tm, q).Equal(w2.Detect(tm, q)) {
+			if !detect(w1, tm, q).Equal(detect(w2, tm, q)) {
 				t.Fatalf("nondeterministic detect at t=%d q=%v", tm, q)
 			}
 		}
@@ -219,6 +227,30 @@ func TestStrongCoreMergeRule(t *testing.T) {
 	// Short or overlong record slices must not panic.
 	c.OnMessage(nil, 1, SyncMsg{Records: []Status{{Num: 99, Dead: true}}})
 	c.OnMessage(nil, 1, SyncMsg{Records: make([]Status, 10)})
+}
+
+// TestStrongCoreDetectBufferIsNotState: the set a StrongCore lends
+// Detect is cleared before every query, so a core whose buffer is
+// scribbled with every process before each tick suspects, counts and
+// broadcasts exactly what a clean core does, through the noisy
+// pre-accuracy regime and after it.
+func TestStrongCoreDetectBufferIsNotState(t *testing.T) {
+	const n = 5
+	weak := weakFor(n, map[proc.ID]async.Time{3: 20 * ms}, 4)
+	clean, scribbled := NewStrongCore(1, n, weak), NewStrongCore(1, n, weak)
+	var want, got fakeCtx
+	for tm := async.Time(0); tm < 80*ms; tm += ms {
+		want.now, got.now = tm, tm
+		scribbled.detected.Fill(n)
+		clean.OnTick(&want)
+		scribbled.OnTick(&got)
+		if !reflect.DeepEqual(got.broadcasts, want.broadcasts) {
+			t.Fatalf("t=%d: scribbled buffer broadcast %v, clean %v", tm, got.broadcasts, want.broadcasts)
+		}
+	}
+	if clean.Record(3).Num == 0 || clean.Record(0).Num == 0 {
+		t.Fatal("nobody was ever suspected: the run does not exercise Detect")
+	}
 }
 
 func TestStrongCoreCorrupt(t *testing.T) {

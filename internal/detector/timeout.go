@@ -116,24 +116,24 @@ func (c *TimeoutCore) suspectedAt(now async.Time, q proc.ID) bool {
 // Suspects returns the processes currently timed out.
 func (c *TimeoutCore) Suspects(now async.Time) proc.Set {
 	out := proc.NewSet()
-	for q := 0; q < c.n; q++ {
-		if c.suspectedAt(now, proc.ID(q)) {
-			out.Add(proc.ID(q))
-		}
-	}
+	c.Detect(now, c.self, out)
 	return out
 }
 
 var _ WeakDetector = (*TimeoutCore)(nil)
 
 // Detect implements WeakDetector for the core's own process. The Figure 4
-// transform only ever consults the local detector (Detect(now, self)), so
-// a core is its process's ◊W and answers nothing for any other process.
-func (c *TimeoutCore) Detect(now async.Time, p proc.ID) proc.Set {
+// transform only ever consults the local detector (Detect(now, self, …)),
+// so a core is its process's ◊W and answers nothing for any other process.
+func (c *TimeoutCore) Detect(now async.Time, p proc.ID, out proc.Set) {
 	if p != c.self {
-		return proc.NewSet()
+		return
 	}
-	return c.Suspects(now)
+	for q := 0; q < c.n; q++ {
+		if c.suspectedAt(now, proc.ID(q)) {
+			out.Add(proc.ID(q))
+		}
+	}
 }
 
 // Timeout exposes q's current adaptive timeout (for tests).

@@ -104,83 +104,34 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-type eventKind int
+// span is the largest offset from now at which the engine ever schedules
+// an event: a tick's successor, or a delivery at its longest delay.
+// MinDelay is included because withDefaults can leave MaxDelay below it.
+func (c Config) span() Time {
+	s := max(c.TickEvery, c.MinDelay, c.MaxDelay)
+	if c.GST > 0 {
+		s = max(s, c.PreGSTMaxDelay)
+	}
+	return s
+}
+
+type eventKind int32
 
 const (
 	evTick eventKind = iota + 1
 	evDeliver
 )
 
+// event is one queued tick or delivery, held by value in the queue's
+// slab. Events of equal time pop in push order, which the queue keeps by
+// where it links each push, so no sequence number is stored.
 type event struct {
 	at      Time
-	seq     uint64 // tie-break for determinism
 	kind    eventKind
+	next    int32 // the queue's link: next in the slot's list, or in the free list
 	to      proc.ID
 	from    proc.ID
 	payload any
-}
-
-// before is the queue order: time, then push sequence. Sequence numbers
-// are unique, so the order is total and the pop sequence does not depend
-// on how the heap happens to be laid out.
-func (ev *event) before(o *event) bool {
-	if ev.at != o.at {
-		return ev.at < o.at
-	}
-	return ev.seq < o.seq
-}
-
-// eventHeap is a binary min-heap of events under before. Events live by
-// value in the slice, so scheduling one allocates nothing once the slice
-// has grown to the queue's high-water mark.
-type eventHeap []event
-
-func (h *eventHeap) push(ev event) {
-	q := append(*h, ev)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ev.before(&q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = ev
-	*h = q
-}
-
-// pop removes and returns the earliest event. The heap must be non-empty.
-// The vacated slot is zeroed so the slice retains no payload.
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = event{}
-	q = q[:n]
-	*h = q
-	if n == 0 {
-		return top
-	}
-	// Sift last down from the root.
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && q[r].before(&q[child]) {
-			child = r
-		}
-		if !q[child].before(&last) {
-			break
-		}
-		q[i] = q[child]
-		i = child
-	}
-	q[i] = last
-	return top
 }
 
 // Engine is the discrete-event asynchronous simulator.
@@ -191,8 +142,8 @@ type Engine struct {
 	ctxs    []procCtx // one per process, indexed by ID, reused for every callback
 	rng     *rand.Rand
 	now     Time
-	seq     uint64
-	pq      eventHeap
+	span    Time // see Config.span
+	pq      eventRing
 	crashed proc.Set
 	// stats
 	delivered uint64
@@ -220,8 +171,10 @@ func NewEngine(procs []Proc, cfg Config) (*Engine, error) {
 		byID:    byID,
 		ctxs:    make([]procCtx, len(procs)),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		span:    cfg.span(),
 		crashed: proc.NewSet(),
 	}
+	e.pq.init(e.span)
 	for i := range e.ctxs {
 		e.ctxs[i] = procCtx{e: e, self: proc.ID(i)}
 	}
@@ -293,9 +246,12 @@ func (e *Engine) CorruptEverything(rng *rand.Rand) int {
 // has reports whether id names one of the engine's processes.
 func (e *Engine) has(id proc.ID) bool { return id >= 0 && int(id) < len(e.byID) }
 
+// push queues ev. An event outside [now, now+span] would break the
+// queue's window invariant, and only an engine bug can schedule one.
 func (e *Engine) push(ev event) {
-	ev.seq = e.seq
-	e.seq++
+	if ev.at < e.now || ev.at > e.now+e.span {
+		panic(fmt.Sprintf("async: event at %d outside the window [%d, %d]", ev.at, e.now, e.now+e.span))
+	}
 	e.pq.push(ev)
 }
 
@@ -306,9 +262,14 @@ func (e *Engine) isCrashedAt(p proc.ID, t Time) bool {
 
 // Step processes the next event. It returns false when no events remain
 // (all processes crashed).
-func (e *Engine) Step() bool {
-	for len(e.pq) > 0 {
-		ev := e.pq.pop()
+func (e *Engine) Step() bool { return e.step(e.pq.head(e.now)) }
+
+// step processes the event at slab index i, the queue's head, or the
+// first event after it that does not go to a crashed process. It returns
+// false when the queue runs out first.
+func (e *Engine) step(i int32) bool {
+	for ; i != 0; i = e.pq.head(e.now) {
+		ev := e.pq.pop(i)
 		e.now = ev.at
 		if e.isCrashedAt(ev.to, ev.at) {
 			e.crashed.Add(ev.to)
@@ -336,8 +297,8 @@ func (e *Engine) Step() bool {
 // RunUntil advances virtual time to t (processing every event scheduled
 // strictly before or at t).
 func (e *Engine) RunUntil(t Time) {
-	for len(e.pq) > 0 && e.pq[0].at <= t {
-		e.Step()
+	for i := e.pq.head(e.now); i != 0 && e.pq.slab[i].at <= t; i = e.pq.head(e.now) {
+		e.step(i)
 	}
 	if e.now < t {
 		e.now = t

@@ -2,6 +2,7 @@ package smr
 
 import (
 	"math/rand"
+	"slices"
 
 	"ftss/internal/ctcons"
 	"ftss/internal/detector"
@@ -109,6 +110,11 @@ type BatchingReplica struct {
 	expanded map[Value]uint64  // batch ID → slot it was expanded at (dedupe)
 	out      []Value           // the committed command stream, in order
 	asked    bool              // one BatchRequest per tick at most
+
+	// The BatchAnnounce boxes of the last tick, in open-window order.
+	// One is sent again only after its batch is compared with an open
+	// one, so they are not state: Corrupt leaves them alone.
+	announced []any
 }
 
 var _ async.Proc = (*BatchingReplica)(nil)
@@ -216,11 +222,33 @@ func (b *BatchingReplica) OnTick(ctx async.Context) {
 	b.nowT = ctx.Now()
 	b.asked = false
 	b.sealTick()
-	for _, batch := range b.open {
-		ctx.Broadcast(BatchAnnounce{Batch: batch})
+	// Entry k is overwritten while later batches still search the list;
+	// since content is compared, that can cost a fresh box, never a
+	// wrong one.
+	for k, batch := range b.open {
+		box := b.announce(batch)
+		if k == len(b.announced) {
+			b.announced = append(b.announced, nil)
+		}
+		b.announced[k] = box
+		ctx.Broadcast(box)
 	}
+	clear(b.announced[len(b.open):])
+	b.announced = b.announced[:len(b.open)]
 	b.Replica.OnTick(ctx)
 	b.expand(ctx)
+}
+
+// announce returns batch boxed as a BatchAnnounce, reusing a box of the
+// last tick's that carries an equal batch: an open batch does not change,
+// so it is boxed once.
+func (b *BatchingReplica) announce(batch Batch) any {
+	for _, box := range b.announced {
+		if old, ok := box.(BatchAnnounce); ok && old.Batch.ID == batch.ID && slices.Equal(old.Batch.Cmds, batch.Cmds) {
+			return box
+		}
+	}
+	return BatchAnnounce{Batch: batch}
 }
 
 // OnMessage implements async.Proc.

@@ -16,7 +16,7 @@ import (
 // so an allocation count of a replica's tick is the replica's own.
 type silentWeak struct{}
 
-func (silentWeak) Detect(async.Time, proc.ID) proc.Set { return proc.Set{} }
+func (silentWeak) Detect(async.Time, proc.ID, proc.Set) {}
 
 // discardCtx is an async.Context that drops every send.
 type discardCtx struct{}
@@ -45,6 +45,75 @@ func TestSteadyTickAllocatesOnlySyncMsg(t *testing.T) {
 	}
 	if r.CurrentSlot() != 3 || r.LogLen() != 3 {
 		t.Fatalf("cursor %d, log %d after idle ticks: the measured tick was not steady", r.CurrentSlot(), r.LogLen())
+	}
+}
+
+// TestSteadyTickWithSimulatedWeak is TestSteadyTickAllocatesOnlySyncMsg
+// over the store's ◊W oracle, past its accuracy time and suspecting
+// nobody: the detector's query fills a set the replica owns, so the tick
+// allocates what it does over the allocation-free oracle.
+func TestSteadyTickWithSimulatedWeak(t *testing.T) {
+	rs, _ := NewReplicas(3, cmdsFor(1), quietWeak(3, 1))
+	r := rs[1]
+	var ctx discardCtx
+	r.OnMessage(ctx, 0, LogGossip{Entries: []SlotDecision{{0, 1, 10}, {1, 1, 11}, {2, 1, 12}}})
+	const ceiling = 2
+	if avg := testing.AllocsPerRun(100, func() { r.OnTick(ctx) }); avg != ceiling {
+		t.Errorf("steady tick allocates %.1f times, want %d (the SyncMsg)", avg, ceiling)
+	}
+	if r.CurrentSlot() != 3 || r.LogLen() != 3 {
+		t.Fatalf("cursor %d, log %d after idle ticks: the measured tick was not steady", r.CurrentSlot(), r.LogLen())
+	}
+}
+
+// openBatch builds batching replica 1 of 3 with one open batch, ticked
+// once so its re-sent boxes are filled.
+func openBatch() *BatchingReplica {
+	bs, _ := NewBatchingReplicas(3, silentWeak{}, BatchPolicy{MaxBatch: 2, Seed: 3})
+	b := bs[1]
+	b.Submit(10)
+	b.Submit(11)
+	b.OnTick(discardCtx{})
+	return b
+}
+
+// TestBatchingSteadyTickAllocations: a batching replica whose one open
+// batch waits undecided announces it every tick from one box, so its
+// steady tick allocates what the inner replica's does (the SyncMsg).
+func TestBatchingSteadyTickAllocations(t *testing.T) {
+	b := openBatch()
+	if len(b.open) != 1 {
+		t.Fatalf("open window = %d batches, want 1", len(b.open))
+	}
+	const ceiling = 2
+	if avg := testing.AllocsPerRun(100, func() { b.OnTick(discardCtx{}) }); avg != ceiling {
+		t.Errorf("steady batching tick allocates %.1f times, want %d (the SyncMsg)", avg, ceiling)
+	}
+	if len(b.open) != 1 || b.CurrentSlot() != 0 {
+		t.Fatalf("open %d, cursor %d after idle ticks: the measured tick was not steady", len(b.open), b.CurrentSlot())
+	}
+}
+
+// TestScribbledAnnounceBoxesAreNotSent: a kept BatchAnnounce box is
+// compared with the open batch before it is sent again, so boxes
+// scribbled with another batch under the same ID, or with another
+// message, change nothing that the next tick sends.
+func TestScribbledAnnounceBoxesAreNotSent(t *testing.T) {
+	for _, bogus := range []any{
+		BatchAnnounce{Batch: Batch{ID: openBatch().open[0].ID, Cmds: []Value{10, 99}}},
+		BatchAnnounce{Batch: Batch{ID: 77, Cmds: []Value{10, 11}}},
+		LogGossip{},
+	} {
+		clean, scribbled := openBatch(), openBatch()
+		for i := range scribbled.announced {
+			scribbled.announced[i] = bogus
+		}
+		var want, got captureCtx
+		clean.OnTick(&want)
+		scribbled.OnTick(&got)
+		if !reflect.DeepEqual(want.sent, got.sent) {
+			t.Fatalf("scribbled with %v, sent:\n got %v\nwant %v", bogus, got.sent, want.sent)
+		}
 	}
 }
 
